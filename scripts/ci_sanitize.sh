@@ -46,6 +46,11 @@ ctest --test-dir "$BUILD_DIR" -L 'dst|store|obs|fuzz' --output-on-failure
 # label in the ctest lane above.)
 "$BUILD_DIR"/tests/blab_dst --jobs=4 --gtest_filter='DstHealth.*'
 
+# Operator read bodies at full width: the fnv1a folds of every /metrics,
+# /traces, /flame, /rollup and /health body over the corpus must match the
+# pinned values under the sanitizers and the pooled path too.
+"$BUILD_DIR"/tests/blab_dst --jobs=4 --gtest_filter='DstBodies.*'
+
 # Fuzz smoke: corpus replay + bounded deterministic mutation per harness.
 for target in rest_backend_fuzz trace_io_fuzz store_codec_fuzz novnc_fuzz \
               persist_fuzz; do

@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <sstream>
@@ -22,6 +23,8 @@
 #include <vector>
 
 #include "analysis/trace_io.hpp"
+#include "obs/aggregate.hpp"
+#include "obs/export.hpp"
 #include "testing/harness.hpp"
 #include "testing/persist_check.hpp"
 #include "util/rng.hpp"
@@ -290,6 +293,65 @@ TEST(DstHealth, HealthRunsAreReplayDeterministic) {
     EXPECT_EQ(first.rollup_vantage_json, second.rollup_vantage_json)
         << "seed " << seed;
     EXPECT_EQ(first.health_json, second.health_json) << "seed " << seed;
+  }
+}
+
+// ------------------------------------------------------------------------
+// Operator read bodies: every JSON and text body the REST surface serves is
+// pinned by an fnv1a fold over the 40-seed corpus. A refactor of the
+// encoders must leave each fold unchanged; a deliberate format change
+// re-pins here and names the body that moved.
+// ------------------------------------------------------------------------
+
+TEST(DstBodies, RestBodyHashesArePinned) {
+  const auto seeds = dst::default_corpus(40);
+  const unsigned jobs = g_corpus_jobs == 0 ? 4 : g_corpus_jobs;
+  dst::RunOptions health;
+  health.enable_health = true;
+  const auto plain_runs = dst::run_corpus(seeds, jobs);
+  const auto health_runs = dst::run_corpus(seeds, jobs, health);
+  ASSERT_EQ(plain_runs.size(), seeds.size());
+  ASSERT_EQ(health_runs.size(), seeds.size());
+
+  const std::vector<std::string> names = {
+      "metrics_text",  "metrics_json",  "trace_json",     "flame_json",
+      "rollup_fleet",  "rollup_job",    "rollup_vantage", "health_json",
+  };
+  // Per body: each seed's fnv1a, appended in corpus order, hashed at the end.
+  std::vector<std::string> folds(names.size());
+  std::vector<std::size_t> non_empty(names.size(), 0);
+  const auto add = [&](std::size_t k, const std::string& body) {
+    folds[k] += std::to_string(blab::util::fnv1a(body)) + ',';
+    non_empty[k] += body.empty() ? 0 : 1;
+  };
+  for (std::size_t i = 0; i < seeds.size(); ++i) {
+    const dst::ScenarioResult& plain = plain_runs[i];
+    const dst::ScenarioResult& h = health_runs[i];
+    EXPECT_TRUE(plain.ok()) << plain.violation_summary();
+    EXPECT_TRUE(h.ok()) << h.violation_summary();
+    add(0, plain.metrics_text);
+    add(1, blab::obs::encode_json(plain.metrics));
+    add(2, plain.trace_json);
+    add(3, blab::obs::encode_flame_json(blab::obs::build_flame(plain.spans),
+                                        blab::obs::critical_paths(plain.spans)));
+    add(4, h.rollup_fleet_json);
+    add(5, h.rollup_job_json);
+    add(6, h.rollup_vantage_json);
+    add(7, h.health_json);
+  }
+  const std::vector<std::string> pinned = {
+      "9b9073386c117407", "7eb274165a2c0a0b", "f63399cab1a4e65a",
+      "ad9774167d0a2e1f", "e59ba5992ae1ff4b", "a9e9a3245c1047ad",
+      "85ef625da219c596", "5d752c5a2f8de6b5",
+  };
+  for (std::size_t k = 0; k < names.size(); ++k) {
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(
+                      blab::util::fnv1a(folds[k])));
+    EXPECT_EQ(std::string{hex}, pinned[k])
+        << names[k] << " body changed over the corpus";
+    EXPECT_EQ(non_empty[k], seeds.size()) << names[k] << " went empty";
   }
 }
 
