@@ -7,11 +7,19 @@
 //   - parse_query never yields empty keys, never exceeds kMaxQueryParams,
 //     and is idempotent on already-decoded text without '%', '+', '&', '=';
 //   - a full backend dispatch returns a Result, never throws or crashes.
+//
+// Writer mode, on every input: the raw bytes become a span attribute and a
+// metric label value, and the rendered bodies must stay well-formed — no
+// JSON body carries a byte below 0x20, and the Prometheus body holds exactly
+// one line per sample.
+#include <algorithm>
 #include <string>
 
 #include "controller/rest_backend.hpp"
 #include "fuzz_input.hpp"
 #include "net/network.hpp"
+#include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -32,6 +40,50 @@ blab::util::Result<std::string> dispatch(const std::string& name,
   }();
   (void)init;
   return backend.call(name, query);
+}
+
+bool has_control_byte(const std::string& body) {
+  return std::any_of(body.begin(), body.end(), [](char c) {
+    return static_cast<unsigned char>(c) < 0x20;
+  });
+}
+
+void check_writer(const std::string& payload) {
+  // A fresh deployment per input keeps label cardinality bounded.
+  blab::sim::Simulator sim;
+  blab::net::Network net{sim, 0x5EED};
+  RestBackend backend{net, "fuzz-writer"};
+  blab::obs::Tracer& tracer = sim.tracer();
+  const std::uint64_t root = tracer.begin_detached("fuzz", "job");
+  tracer.set_attr(root, "job", payload);
+  const std::uint64_t trace = tracer.context_of(root).trace;
+  tracer.end(root);
+  sim.metrics().counter("blab_fuzz_total", {{"value", payload}}).inc();
+
+  for (const std::string& query :
+       {std::string{}, "trace_id=" + std::to_string(trace)}) {
+    const auto traces = backend.call("traces", query);
+    FUZZ_ASSERT(traces.ok());
+    FUZZ_ASSERT(!has_control_byte(traces.value()));
+  }
+  const auto json = backend.call("metrics", "format=json");
+  FUZZ_ASSERT(json.ok());
+  FUZZ_ASSERT(!has_control_byte(json.value()));
+
+  const auto text = backend.call("metrics", "");
+  FUZZ_ASSERT(text.ok());
+  // One `# TYPE` line per metric name, one line per counter or gauge, and
+  // bounds + 1 buckets plus _sum and _count per histogram.
+  std::size_t lines = 0;
+  std::string last_name;
+  for (const auto& s : sim.metrics().snapshot().series) {
+    if (s.name != last_name) ++lines;
+    last_name = s.name;
+    lines += s.kind == blab::obs::MetricKind::kHistogram ? s.bounds.size() + 3
+                                                         : 1;
+  }
+  FUZZ_ASSERT(static_cast<std::size_t>(std::count(
+                  text.value().begin(), text.value().end(), '\n')) == lines);
 }
 
 }  // namespace
@@ -69,5 +121,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     }
     (void)value;
   }
+
+  check_writer(payload);
   return 0;
 }

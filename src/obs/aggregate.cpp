@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 
+#include "util/json.hpp"
+
 namespace blab::obs {
 namespace {
 
@@ -88,8 +90,8 @@ std::int64_t child_coverage(const SpanRecord* s,
 void fold_span(FlameNode& parent, const SpanRecord* s, const TraceView& view) {
   FlameNode& node = slot(parent, s->component, s->name);
   // Weight scales a kept span up to the family count it stands for; sampled
-  // families are leaves (set_sampling contract), so scaling total without
-  // scaling child coverage never goes negative.
+  // families are leaves (set_tail_sampling contract), so scaling total
+  // without scaling child coverage never goes negative.
   const std::uint64_t w = s->weight;
   node.count += w;
   const std::int64_t weighted =
@@ -124,27 +126,14 @@ void attribute(const SpanRecord* s, std::int64_t lo, std::int64_t hi,
   if (hi > cursor) own += hi - cursor;
 }
 
-std::string json_string(std::string_view s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  out += '"';
-  return out;
-}
-
 void encode_node(std::string& out, const FlameNode& node) {
-  out += "{\"component\":" + json_string(node.component) +
-         ",\"name\":" + json_string(node.name) +
-         ",\"count\":" + std::to_string(node.count) +
-         ",\"total_us\":" + std::to_string(node.total_us) +
-         ",\"self_us\":" + std::to_string(node.self_us) + ",\"children\":[";
+  out += "{\"component\":";
+  util::append_json_string(out, node.component);
+  out += ",\"name\":";
+  util::append_json_string(out, node.name);
+  out += ",\"count\":" + std::to_string(node.count);
+  out += ",\"total_us\":" + std::to_string(node.total_us);
+  out += ",\"self_us\":" + std::to_string(node.self_us) + ",\"children\":[";
   bool sep = false;
   for (const FlameNode& child : node.children) {
     if (sep) out += ',';
@@ -253,12 +242,13 @@ std::string encode_flame_json(const FlameNode& root,
   for (const CriticalPath& path : paths) {
     if (sep) out += ',';
     sep = true;
-    out += "{\"trace\":" + std::to_string(path.trace) +
-           ",\"job\":" + json_string(path.job) +
-           ",\"total_us\":" + std::to_string(path.total_us) + ",\"segments\":{";
+    out += "{\"trace\":" + std::to_string(path.trace) + ",\"job\":";
+    util::append_json_string(out, path.job);
+    out += ",\"total_us\":" + std::to_string(path.total_us) + ",\"segments\":{";
     for (std::size_t i = 0; i < kPathSegmentCount; ++i) {
       if (i > 0) out += ',';
-      out += json_string(path_segment_name(static_cast<PathSegment>(i)));
+      util::append_json_string(out,
+                               path_segment_name(static_cast<PathSegment>(i)));
       out += ':' + std::to_string(path.segment_us[i]);
     }
     out += "}}";

@@ -1,11 +1,11 @@
 #include "obs/export.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <map>
+#include <string_view>
 
-#include "util/strings.hpp"
+#include "util/json.hpp"
 
 namespace blab::obs {
 namespace {
@@ -19,107 +19,90 @@ const char* kind_name(MetricKind kind) {
   return "?";
 }
 
-std::string render_labels(const Labels& labels) {
-  if (labels.empty()) return "";
-  std::string out = "{";
-  bool sep = false;
+/// Append `{k="v",...}` in Prometheus text form, or nothing when there are
+/// no labels. A non-empty `le` adds the histogram bucket bound as the last
+/// label. Label values escape `\`, `"` and newline as the text format
+/// requires, so an arbitrary value (e.g. a job owner's username) cannot
+/// break the line.
+void render_labels(std::string& out, const Labels& labels,
+                   std::string_view le = {}) {
+  if (labels.empty() && le.empty()) return;
+  out += '{';
   for (const Label& l : labels) {
-    if (sep) out += ',';
-    sep = true;
     out += l.key;
     out += "=\"";
-    out += l.value;
-    out += '"';
-  }
-  out += '}';
-  return out;
-}
-
-std::string render_labels_with(const Labels& labels, std::string_view key,
-                               std::string_view value) {
-  std::string out = "{";
-  bool sep = false;
-  for (const Label& l : labels) {
-    if (sep) out += ',';
-    sep = true;
-    out += l.key;
-    out += "=\"";
-    out += l.value;
-    out += '"';
-  }
-  if (sep) out += ',';
-  out += std::string{key} + "=\"" + std::string{value} + "\"";
-  out += '}';
-  return out;
-}
-
-std::string json_string(std::string_view s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
+    for (const char c : l.value) {
+      switch (c) {
+        case '\\': out += "\\\\"; break;
+        case '"': out += "\\\""; break;
+        case '\n': out += "\\n"; break;
+        default: out += c;
+      }
     }
+    out += "\",";
   }
-  out += '"';
+  if (!le.empty()) {
+    out += "le=\"";
+    out += le;
+    out += "\",";
+  }
+  out.back() = '}';
+}
+
+/// Prometheus text number: the JSON rule, with NaN and +/-Inf spelled bare.
+std::string format_metric_value(double v) {
+  std::string out;
+  util::append_json_number(out, v);
+  if (out.front() == '"') return out.substr(1, out.size() - 2);
   return out;
 }
 
-/// JSON-safe double: NaN/Inf have no JSON literal, so render as strings.
-std::string json_number(double v) {
-  if (std::isnan(v) || std::isinf(v)) return json_string(format_metric_value(v));
-  return format_metric_value(v);
-}
-
-std::string exemplar_suffix(const Exemplar& ex) {
-  return " # {trace_id=\"" + std::to_string(ex.trace) + "\",ts_us=\"" +
-         std::to_string(ex.ts_us) + "\"} " + format_metric_value(ex.value);
+void append_exemplar(std::string& out, const Exemplar& ex) {
+  out += " # {trace_id=\"" + std::to_string(ex.trace);
+  out += "\",ts_us=\"" + std::to_string(ex.ts_us);
+  out += "\"} " + format_metric_value(ex.value);
 }
 
 void append_trace_event(std::string& out, const SpanRecord& s, int pid,
                         bool& sep) {
+  using util::append_json_string;
   if (sep) out += ',';
   sep = true;
-  out += "{\"name\":" + json_string(s.name) +
-         ",\"cat\":" + json_string(s.component) +
-         ",\"ph\":\"X\",\"ts\":" + std::to_string(s.start_us) +
-         ",\"dur\":" + std::to_string(s.duration_us()) +
-         ",\"pid\":" + std::to_string(pid) +
-         ",\"tid\":" + std::to_string(s.trace) +
-         ",\"args\":{\"span\":" + std::to_string(s.id) +
-         ",\"parent\":" + std::to_string(s.parent) +
-         ",\"trace\":" + std::to_string(s.trace);
+  out += "{\"name\":";
+  append_json_string(out, s.name);
+  out += ",\"cat\":";
+  append_json_string(out, s.component);
+  out += ",\"ph\":\"X\",\"ts\":" + std::to_string(s.start_us);
+  out += ",\"dur\":" + std::to_string(s.duration_us());
+  out += ",\"pid\":" + std::to_string(pid);
+  out += ",\"tid\":" + std::to_string(s.trace);
+  out += ",\"args\":{\"span\":" + std::to_string(s.id);
+  out += ",\"parent\":" + std::to_string(s.parent);
+  out += ",\"trace\":" + std::to_string(s.trace);
   if (s.weight != 1) out += ",\"weight\":" + std::to_string(s.weight);
   // Cross-trace links render as "link.<kind>" args naming the target, so a
   // Perfetto query can hop from a retry's root to its predecessor trace.
   for (const SpanLink& l : s.links) {
-    out += ',' + json_string("link." + l.kind) + ':' +
-           json_string(std::to_string(l.trace) + ":" + std::to_string(l.span));
+    out += ',';
+    append_json_string(out, "link." + l.kind);
+    out += ':';
+    append_json_string(out,
+                       std::to_string(l.trace) + ":" + std::to_string(l.span));
   }
   for (const SpanAttr& a : s.attrs) {
-    out += ',' + json_string(a.key) + ':';
+    out += ',';
+    append_json_string(out, a.key);
+    out += ':';
     switch (a.kind) {
       case SpanAttr::Kind::kInt: out += std::to_string(a.i); break;
-      case SpanAttr::Kind::kDouble: out += json_number(a.d); break;
-      case SpanAttr::Kind::kString: out += json_string(a.s); break;
+      case SpanAttr::Kind::kDouble: util::append_json_number(out, a.d); break;
+      case SpanAttr::Kind::kString: append_json_string(out, a.s); break;
     }
   }
   out += "}}";
 }
 
 }  // namespace
-
-std::string format_metric_value(double v) {
-  if (std::isnan(v)) return "NaN";
-  if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
-  if (v == std::floor(v) && std::abs(v) < 1e15) {
-    return std::to_string(static_cast<std::int64_t>(v));
-  }
-  return util::format_double(v, 6);
-}
 
 std::string encode_prometheus(const MetricsSnapshot& snap) {
   std::string out;
@@ -132,31 +115,32 @@ std::string encode_prometheus(const MetricsSnapshot& snap) {
     switch (s.kind) {
       case MetricKind::kCounter:
       case MetricKind::kGauge:
-        out += s.name + render_labels(s.labels) + " " +
-               format_metric_value(s.value) + "\n";
+        out += s.name;
+        render_labels(out, s.labels);
+        out += ' ' + format_metric_value(s.value) + '\n';
         break;
       case MetricKind::kHistogram: {
-        const auto bucket_exemplar = [&](std::size_t i) -> std::string {
-          if (i >= s.exemplars.size() || !s.exemplars[i].valid()) return "";
-          return exemplar_suffix(s.exemplars[i]);
-        };
+        // One `_bucket` line per bound plus +Inf, each cumulative and
+        // carrying its bucket's exemplar when one is set.
         std::uint64_t cumulative = 0;
-        for (std::size_t i = 0; i < s.bounds.size(); ++i) {
-          cumulative += s.buckets[i];
-          out += s.name + "_bucket" +
-                 render_labels_with(s.labels, "le",
-                                    format_metric_value(s.bounds[i])) +
-                 " " + std::to_string(cumulative) + bucket_exemplar(i) + "\n";
+        for (std::size_t i = 0; i <= s.bounds.size(); ++i) {
+          cumulative += i < s.buckets.size() ? s.buckets[i] : 0;
+          out += s.name + "_bucket";
+          render_labels(out, s.labels,
+                        i < s.bounds.size() ? format_metric_value(s.bounds[i])
+                                            : "+Inf");
+          out += ' ' + std::to_string(cumulative);
+          if (i < s.exemplars.size() && s.exemplars[i].valid()) {
+            append_exemplar(out, s.exemplars[i]);
+          }
+          out += '\n';
         }
-        cumulative += s.buckets.empty() ? 0 : s.buckets.back();
-        out += s.name + "_bucket" +
-               render_labels_with(s.labels, "le", "+Inf") + " " +
-               std::to_string(cumulative) +
-               bucket_exemplar(s.bounds.size()) + "\n";
-        out += s.name + "_sum" + render_labels(s.labels) + " " +
-               format_metric_value(s.sum) + "\n";
-        out += s.name + "_count" + render_labels(s.labels) + " " +
-               std::to_string(s.count) + "\n";
+        out += s.name + "_sum";
+        render_labels(out, s.labels);
+        out += ' ' + format_metric_value(s.sum) + '\n';
+        out += s.name + "_count";
+        render_labels(out, s.labels);
+        out += ' ' + std::to_string(s.count) + '\n';
         break;
       }
     }
@@ -165,38 +149,46 @@ std::string encode_prometheus(const MetricsSnapshot& snap) {
 }
 
 std::string encode_json(const MetricsSnapshot& snap) {
+  using util::append_json_number;
+  using util::append_json_string;
   std::string out = "{\"series\":[";
   bool sep = false;
   for (const SeriesSnapshot& s : snap.series) {
     if (sep) out += ',';
     sep = true;
-    out += "{\"name\":" + json_string(s.name) + ",\"kind\":\"" +
-           kind_name(s.kind) + "\",\"labels\":{";
+    out += "{\"name\":";
+    append_json_string(out, s.name);
+    out += ",\"kind\":\"";
+    out += kind_name(s.kind);
+    out += "\",\"labels\":{";
     bool lsep = false;
     for (const Label& l : s.labels) {
       if (lsep) out += ',';
       lsep = true;
-      out += json_string(l.key) + ":" + json_string(l.value);
+      append_json_string(out, l.key);
+      out += ':';
+      append_json_string(out, l.value);
     }
-    out += "}";
+    out += '}';
     switch (s.kind) {
       case MetricKind::kCounter:
       case MetricKind::kGauge:
-        out += ",\"value\":" + format_metric_value(s.value);
+        out += ",\"value\":";
+        append_json_number(out, s.value);
         break;
       case MetricKind::kHistogram: {
         out += ",\"bounds\":[";
         for (std::size_t i = 0; i < s.bounds.size(); ++i) {
           if (i > 0) out += ',';
-          out += format_metric_value(s.bounds[i]);
+          append_json_number(out, s.bounds[i]);
         }
         out += "],\"buckets\":[";
         for (std::size_t i = 0; i < s.buckets.size(); ++i) {
           if (i > 0) out += ',';
           out += std::to_string(s.buckets[i]);
         }
-        out += "],\"count\":" + std::to_string(s.count) +
-               ",\"sum\":" + format_metric_value(s.sum);
+        out += "],\"count\":" + std::to_string(s.count) + ",\"sum\":";
+        append_json_number(out, s.sum);
         if (!s.exemplars.empty()) {
           out += ",\"exemplars\":[";
           bool esep = false;
@@ -204,17 +196,19 @@ std::string encode_json(const MetricsSnapshot& snap) {
             if (!s.exemplars[i].valid()) continue;
             if (esep) out += ',';
             esep = true;
-            out += "{\"bucket\":" + std::to_string(i) +
-                   ",\"trace_id\":" + std::to_string(s.exemplars[i].trace) +
-                   ",\"ts_us\":" + std::to_string(s.exemplars[i].ts_us) +
-                   ",\"value\":" + json_number(s.exemplars[i].value) + "}";
+            out += "{\"bucket\":" + std::to_string(i);
+            out += ",\"trace_id\":" + std::to_string(s.exemplars[i].trace);
+            out += ",\"ts_us\":" + std::to_string(s.exemplars[i].ts_us);
+            out += ",\"value\":";
+            append_json_number(out, s.exemplars[i].value);
+            out += '}';
           }
-          out += "]";
+          out += ']';
         }
         break;
       }
     }
-    out += "}";
+    out += '}';
   }
   out += "]}";
   return out;
@@ -291,6 +285,7 @@ std::string encode_trace_json(const std::vector<const SpanRecord*>& spans) {
 }
 
 std::string encode_trace_list_json(const Tracer& tracer) {
+  using util::append_json_string;
   std::string out = "{\"traces\":[";
   bool sep = false;
   for (std::uint64_t trace : tracer.trace_ids()) {
@@ -307,14 +302,16 @@ std::string encode_trace_list_json(const Tracer& tracer) {
     }
     if (sep) out += ',';
     sep = true;
-    out += "{\"trace_id\":" + std::to_string(trace) + ",\"root\":" +
-           json_string(root != nullptr ? root->name : "") + ",\"component\":" +
-           json_string(root != nullptr ? root->component : "") + ",\"job\":" +
-           json_string(root != nullptr ? root->attr_str("job") : "") +
-           ",\"spans\":" + std::to_string(spans.size()) +
-           ",\"open\":" + std::to_string(tracer.open_in_trace(trace)) +
-           ",\"start_us\":" + std::to_string(start) +
-           ",\"end_us\":" + std::to_string(end) + "}";
+    out += "{\"trace_id\":" + std::to_string(trace) + ",\"root\":";
+    append_json_string(out, root != nullptr ? root->name : "");
+    out += ",\"component\":";
+    append_json_string(out, root != nullptr ? root->component : "");
+    out += ",\"job\":";
+    append_json_string(out, root != nullptr ? root->attr_str("job") : "");
+    out += ",\"spans\":" + std::to_string(spans.size());
+    out += ",\"open\":" + std::to_string(tracer.open_in_trace(trace));
+    out += ",\"start_us\":" + std::to_string(start);
+    out += ",\"end_us\":" + std::to_string(end) + '}';
   }
   out += "]}";
   return out;

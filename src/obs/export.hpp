@@ -31,9 +31,6 @@ std::string encode_json(const MetricsSnapshot& snap);
 /// into one bench artifact.
 MetricsSnapshot merge_snapshots(const std::vector<MetricsSnapshot>& snaps);
 
-/// Deterministic number rendering shared by both encoders.
-std::string format_metric_value(double v);
-
 /// Chrome trace-event JSON (Perfetto-loadable): one complete ("ph":"X")
 /// event per finished span, ts/dur in microseconds, tid = trace id so each
 /// job's causal tree renders as its own track. Deterministic: events are

@@ -1,37 +1,15 @@
 #include "obs/health/rollup.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
 
-#include "obs/export.hpp"
 #include "obs/metrics.hpp"
+#include "util/json.hpp"
 #include "util/stats.hpp"
 
 namespace blab::health {
 
 namespace {
-
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
 
 /// Mutable accumulator behind one RollupGroup; quantiles pool per-capture
 /// tier samples and are reduced at the end.
@@ -148,7 +126,8 @@ Rollup RollupEngine::compute(RollupScope scope, util::TimePoint t0,
 }
 
 std::string encode_rollup_json(const Rollup& rollup) {
-  using obs::format_metric_value;
+  using util::append_json_number;
+  using util::append_json_string;
   std::string out = "{\"scope\":";
   append_json_string(out, rollup_scope_name(rollup.scope));
   out += ",\"t0_us\":" + std::to_string(rollup.t0.us());
@@ -164,14 +143,22 @@ std::string encode_rollup_json(const Rollup& rollup) {
     append_json_string(out, g.key);
     out += ",\"captures\":" + std::to_string(g.captures);
     out += ",\"samples\":" + std::to_string(g.samples);
-    out += ",\"duration_s\":" + format_metric_value(g.duration_s);
-    out += ",\"charge_mah\":" + format_metric_value(g.charge_mah);
-    out += ",\"energy_mwh\":" + format_metric_value(g.energy_mwh);
-    out += ",\"mean_ma\":" + format_metric_value(g.mean_ma);
-    out += ",\"min_ma\":" + format_metric_value(g.min_ma);
-    out += ",\"max_ma\":" + format_metric_value(g.max_ma);
-    out += ",\"p95_ma\":" + format_metric_value(g.p95_ma);
-    out += ",\"p99_ma\":" + format_metric_value(g.p99_ma);
+    out += ",\"duration_s\":";
+    append_json_number(out, g.duration_s);
+    out += ",\"charge_mah\":";
+    append_json_number(out, g.charge_mah);
+    out += ",\"energy_mwh\":";
+    append_json_number(out, g.energy_mwh);
+    out += ",\"mean_ma\":";
+    append_json_number(out, g.mean_ma);
+    out += ",\"min_ma\":";
+    append_json_number(out, g.min_ma);
+    out += ",\"max_ma\":";
+    append_json_number(out, g.max_ma);
+    out += ",\"p95_ma\":";
+    append_json_number(out, g.p95_ma);
+    out += ",\"p99_ma\":";
+    append_json_number(out, g.p99_ma);
     out += ",\"by_class\":{";
     bool first_class = true;
     for (const auto& [cls, slice] : g.by_class) {
@@ -180,7 +167,8 @@ std::string encode_rollup_json(const Rollup& rollup) {
       append_json_string(out, cls);
       out += ":{\"captures\":" + std::to_string(slice.captures);
       out += ",\"samples\":" + std::to_string(slice.samples);
-      out += ",\"energy_mwh\":" + format_metric_value(slice.energy_mwh);
+      out += ",\"energy_mwh\":";
+      append_json_number(out, slice.energy_mwh);
       out += '}';
     }
     out += "}}";

@@ -109,7 +109,7 @@ class RollupEngine {
 };
 
 /// Deterministic JSON document for GET /rollup: sorted groups, fixed number
-/// formatting (obs::format_metric_value), byte-identical for equal rollups.
+/// formatting (util::append_json_number), byte-identical for equal rollups.
 std::string encode_rollup_json(const Rollup& rollup);
 
 }  // namespace blab::health

@@ -3,24 +3,12 @@
 #include <algorithm>
 #include <utility>
 
-#include "obs/export.hpp"
 #include "obs/span.hpp"
+#include "util/json.hpp"
 
 namespace blab::health {
 
 namespace {
-
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      default: out += c;
-    }
-  }
-  out += '"';
-}
 
 double sum_counters(const std::vector<SeriesRef>& refs,
                     const obs::MetricsSnapshot& snap) {
@@ -266,7 +254,8 @@ std::vector<VantageHealth> SloEngine::vantages() const {
 }
 
 std::string encode_health_json(const SloEngine& engine) {
-  using obs::format_metric_value;
+  using util::append_json_number;
+  using util::append_json_string;
   std::string out = "{\"overall\":";
   append_json_string(out, health_state_name(engine.overall()));
   out += ",\"evaluations\":" + std::to_string(engine.evaluations());
@@ -292,10 +281,12 @@ std::string encode_health_json(const SloEngine& engine) {
     append_json_string(out, s.vantage);
     out += ",\"state\":";
     append_json_string(out, alert_state_name(s.state));
-    out += ",\"burn_long\":" + format_metric_value(s.burn_long);
-    out += ",\"burn_short\":" + format_metric_value(s.burn_short);
-    out += ",\"bad_fraction_long\":" +
-           format_metric_value(s.bad_fraction_long);
+    out += ",\"burn_long\":";
+    append_json_number(out, s.burn_long);
+    out += ",\"burn_short\":";
+    append_json_number(out, s.burn_short);
+    out += ",\"bad_fraction_long\":";
+    append_json_number(out, s.bad_fraction_long);
     out += ",\"transitions\":" + std::to_string(s.transitions) + '}';
   }
   out += "]}";

@@ -393,6 +393,26 @@ TEST(Slo, HealthJsonIsDeterministicAndNamesEveryVantage) {
   EXPECT_NE(first.find("\"test-slo\""), std::string::npos);
 }
 
+// SLO and vantage names are configuration text; control bytes in them must
+// reach GET /health as JSON escapes, never as raw bytes.
+TEST(Slo, HealthJsonEscapesControlBytesInNames) {
+  blab::obs::MetricsRegistry registry;
+  SloSpec spec = ratio_spec();
+  spec.name = "burn\tslo\x01";
+  spec.vantage = "node\nA\r";
+  SloEngine engine{registry};
+  engine.add_spec(spec);
+  engine.evaluate(TimePoint::epoch());
+  const std::string body = blab::health::encode_health_json(engine);
+  EXPECT_NE(body.find("\"name\":\"burn\\tslo\\u0001\""), std::string::npos)
+      << body;
+  EXPECT_NE(body.find("\"vp\":\"node\\nA\\u000d\""), std::string::npos)
+      << body;
+  EXPECT_TRUE(std::none_of(body.begin(), body.end(), [](char c) {
+    return static_cast<unsigned char>(c) < 0x20;
+  })) << body;
+}
+
 // ------------------------------------------------------------------------
 // AccessServer REST surface.
 // ------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 // scheduler, onboarding, maintenance jobs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 
+#include "controller/rest_backend.hpp"
 #include "device/android.hpp"
 #include "device/browser.hpp"
 #include "server/access_server.hpp"
@@ -12,7 +14,9 @@
 #include "server/certs.hpp"
 #include "server/maintenance.hpp"
 #include "server/registry.hpp"
+#include "obs/export.hpp"
 #include "server/scheduler.hpp"
+#include "util/strings.hpp"
 
 namespace blab::server {
 namespace {
@@ -405,6 +409,53 @@ TEST_F(RetryFixture, OwnerBudgetExhaustionIsCountedNotRetried) {
   EXPECT_EQ(snap.value_or("blab_scheduler_retry_budget_exhausted_total",
                           {{"owner", "alice"}}),
             1.0);
+}
+
+// The owner label carries a username, and registration only checks that it
+// is non-empty. Quotes, backslashes and newlines in it must be escaped so
+// the series still renders as one parseable line of /metrics.
+TEST_F(RetryFixture, OwnerLabelIsEscapedInPrometheusText) {
+  const std::string token = add_user("a\"b\\\nc", Role::kExperimenter);
+  server.scheduler().set_retry_policy({.max_attempts = 2});
+  auto id = server.submit_job(token, failing_job("boom"));
+  ASSERT_TRUE(server.approve_pipeline(admin_token, id.value()).ok());
+  EXPECT_EQ(server.run_queue(token).value(), 1u);
+  ASSERT_EQ(server.scheduler().auto_retries(), 1u);
+
+  const std::string text = obs::encode_prometheus(sim.metrics().snapshot());
+  EXPECT_NE(text.find("\nblab_scheduler_auto_retries_total"
+                      "{owner=\"a\\\"b\\\\\\nc\"} 1\n"),
+            std::string::npos)
+      << text;
+  // A raw newline would split the series; every line must be a whole
+  // TYPE comment or a whole sample.
+  for (const std::string& line : util::split(text, '\n')) {
+    if (line.empty()) continue;
+    EXPECT_TRUE(line.starts_with("# TYPE blab_") || line.starts_with("blab_"))
+        << line;
+  }
+}
+
+// A job name is experimenter text that reaches GET /traces as the root
+// span's "name" attribute. Control bytes must come out as \u00XX escapes: a
+// raw byte below 0x20 makes the body invalid JSON.
+TEST_F(SchedulerFixture, TracesEscapeControlBytesInJobNames) {
+  auto id = server.submit_job(exp_token, trivial_job("cap\r\x01ture"));
+  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE(server.approve_pipeline(admin_token, id.value()).ok());
+  ASSERT_EQ(server.run_queue(exp_token).value(), 1u);
+
+  controller::RestBackend rest{net, "ctrl.traces"};
+  auto body = rest.call("traces", "job_id=" + id.value().str());
+  ASSERT_TRUE(body.ok()) << body.error().str();
+  EXPECT_NE(body.value().find("\"name\":\"cap\\u000d\\u0001ture\""),
+            std::string::npos)
+      << body.value();
+  EXPECT_TRUE(std::none_of(body.value().begin(), body.value().end(),
+                           [](char c) {
+                             return static_cast<unsigned char>(c) < 0x20;
+                           }))
+      << body.value();
 }
 
 TEST_F(SchedulerFixture, JobsRunSequentiallyPerDevice) {

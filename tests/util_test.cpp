@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "util/id.hpp"
+#include "util/json.hpp"
 #include "util/logging.hpp"
 #include "util/result.hpp"
 #include "util/rng.hpp"
@@ -457,6 +458,30 @@ TEST(TrapezoidTest, IntegratesLinearFunction) {
 }
 
 // ------------------------------------------------------------- strings ----
+
+TEST(JsonTest, StringsEscapePerRfc8259) {
+  std::string out = "x:";
+  blab::util::append_json_string(out, "a\"b\\c\nd\te\r\x01\x1f\x7f");
+  EXPECT_EQ(out, "x:\"a\\\"b\\\\c\\nd\\te\\u000d\\u0001\\u001f\x7f\"");
+  out.clear();
+  blab::util::append_json_string(out, std::string_view{"n\0ul", 4});
+  EXPECT_EQ(out, "\"n\\u0000ul\"");
+}
+
+TEST(JsonTest, NumbersUseTheMetricRuleAndQuoteNonFinites) {
+  const auto render = [](double v) {
+    std::string out;
+    blab::util::append_json_number(out, v);
+    return out;
+  };
+  EXPECT_EQ(render(42.0), "42");
+  EXPECT_EQ(render(-3.0), "-3");
+  EXPECT_EQ(render(0.5), "0.500000");
+  EXPECT_EQ(render(1e15), "1000000000000000.000000");
+  EXPECT_EQ(render(std::nan("")), "\"NaN\"");
+  EXPECT_EQ(render(std::numeric_limits<double>::infinity()), "\"+Inf\"");
+  EXPECT_EQ(render(-std::numeric_limits<double>::infinity()), "\"-Inf\"");
+}
 
 TEST(StringsTest, SplitBasic) {
   const auto parts = split("a,b,,c", ',');
