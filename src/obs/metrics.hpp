@@ -91,17 +91,16 @@ class Histogram {
   explicit Histogram(std::vector<double> bounds);
 
   void observe(double v);
+  /// Quantile threshold for exemplar attachment.
+  static constexpr double kExemplarQuantile = 0.90;
+
   /// Observe and, when the value is an outlier, keep `ex` as that bucket's
   /// exemplar. An observation qualifies when the histogram is empty or the
   /// fraction of prior observations in buckets strictly below its own is at
-  /// least the exemplar quantile — so exemplars point at the slow tail, not
-  /// the bulk. The latest qualifying exemplar per bucket wins.
+  /// least kExemplarQuantile — so exemplars point at the slow tail, not the
+  /// bulk. The latest qualifying exemplar per bucket wins.
   void observe(double v, const Exemplar& ex);
 
-  /// Quantile threshold for exemplar attachment (default 0.90). Values
-  /// outside [0, 1] are clamped.
-  void set_exemplar_quantile(double q);
-  double exemplar_quantile() const { return exemplar_quantile_; }
   /// Exemplar of bucket i; !valid() when the bucket has none yet.
   Exemplar exemplar(std::size_t i) const;
 
@@ -120,7 +119,6 @@ class Histogram {
   std::unique_ptr<std::atomic<std::uint64_t>[]> counts_;
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
-  double exemplar_quantile_ = 0.90;
   // Exemplars are cold (outliers only) and carry two fields, so a small
   // mutex beats widening the hot-path atomics.
   mutable std::mutex ex_mu_;

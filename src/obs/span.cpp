@@ -1,35 +1,10 @@
 #include "obs/span.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <utility>
 
 namespace blab::obs {
-namespace {
-
-void append_json_string(std::ostream& out, std::string_view s) {
-  out << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      default:
-        out << c;
-    }
-  }
-  out << '"';
-}
-
-}  // namespace
 
 std::string_view SpanRecord::attr_str(std::string_view key) const {
   for (const SpanAttr& a : attrs) {
@@ -51,52 +26,21 @@ std::size_t Tracer::policy_index(std::string_view component,
   return static_cast<std::size_t>(-1);
 }
 
-void Tracer::set_sampling(std::string_view component, std::string_view name,
-                          std::uint64_t keep_one_in) {
-  const std::size_t idx = policy_index(component, name);
-  if (keep_one_in <= 1) {
-    if (idx != static_cast<std::size_t>(-1)) {
-      // Policy indices shift on erase, so undecided tail buffers (keyed by
-      // index) must drain first. Flushing at full fidelity loses no weight;
-      // this is a config-time operation, not a hot path.
-      while (!tail_pending_.empty()) {
-        const auto key = tail_pending_.begin()->first;
-        flush_tail_pending(key.first, key.second, /*keep_all=*/true);
-      }
-      tail_decisions_.clear();
-      policies_.erase(policies_.begin() + static_cast<std::ptrdiff_t>(idx));
-      // Family state keys are policy indices; rebuilding them after an
-      // erase is not worth it for a config-time operation — drop them all.
-      family_state_.clear();
-    }
-    return;
-  }
-  if (idx != static_cast<std::size_t>(-1)) {
-    // Switching a tail family back to head mode strands its undecided
-    // buffer; flush it at full fidelity before changing the policy.
-    std::vector<std::uint64_t> traces;
-    for (const auto& [key, pending] : tail_pending_) {
-      if (key.first == idx && !pending.empty()) traces.push_back(key.second);
-    }
-    for (const std::uint64_t trace : traces) {
-      flush_tail_pending(idx, trace, /*keep_all=*/true);
-    }
-    policies_[idx].keep_one_in = keep_one_in;
-    policies_[idx].tail_threshold_us = 0;
-    return;
-  }
-  policies_.push_back(
-      SamplingPolicy{std::string{component}, std::string{name}, keep_one_in});
-}
-
 void Tracer::set_tail_sampling(std::string_view component,
                                std::string_view name,
                                std::uint64_t keep_one_in,
                                std::int64_t tail_threshold_us) {
-  set_sampling(component, name, keep_one_in);
+  // Updating in place keeps the policy's index, which keys its pending
+  // buffers and head counters, so nothing needs flushing: every pending span
+  // still carries its own unit of weight until its root decides it.
+  SamplingPolicy policy{std::string{component}, std::string{name},
+                        std::max<std::uint64_t>(keep_one_in, 1),
+                        tail_threshold_us};
   const std::size_t idx = policy_index(component, name);
-  if (idx != static_cast<std::size_t>(-1) && tail_threshold_us > 0) {
-    policies_[idx].tail_threshold_us = tail_threshold_us;
+  if (idx == static_cast<std::size_t>(-1)) {
+    policies_.push_back(std::move(policy));
+  } else {
+    policies_[idx] = std::move(policy);
   }
 }
 
@@ -118,18 +62,6 @@ SpanRecord Tracer::make_record(std::string_view component,
   rec.component = std::string{component};
   rec.name = std::string{name};
   rec.start_us = clock_();
-  // Head-based sampling decision, made at begin time so the policy is
-  // independent of how long the span stays open: the first span of each
-  // (family, trace) is always kept, then 1 in keep_one_in. Tail-mode
-  // families defer the decision to finish_record (the head counter then
-  // only advances for spans that actually fall back to head sampling).
-  const std::size_t fam = policy_index(component, name);
-  if (fam != static_cast<std::size_t>(-1) &&
-      policies_[fam].tail_threshold_us <= 0) {
-    FamilyState& st = family_state_[{fam, rec.trace}];
-    if (st.count % policies_[fam].keep_one_in != 0) rec.weight = 0;
-    ++st.count;
-  }
   return rec;
 }
 
@@ -159,23 +91,7 @@ void Tracer::finish_record(SpanRecord&& record, std::int64_t now) {
     resolve_tail(record.trace, record.end_us - record.start_us);
   }
   const std::size_t fam = policy_index(record.component, record.name);
-  if (record.weight == 0) {
-    // Sampled out at begin time: never buffered. Its unit of weight moves
-    // to the last kept span of the same family and trace, keeping
-    // sum-of-weights exactly equal to the true span count.
-    ++sampled_out_;
-    const auto st = fam == static_cast<std::size_t>(-1)
-                        ? family_state_.end()
-                        : family_state_.find({fam, record.trace});
-    if (st != family_state_.end() && st->second.has_kept) {
-      finished_[st->second.last_kept].weight += 1;
-    } else {
-      ++weight_uncredited_;
-    }
-    return;
-  }
-  if (fam != static_cast<std::size_t>(-1) &&
-      policies_[fam].tail_threshold_us > 0) {
+  if (fam != static_cast<std::size_t>(-1)) {
     const auto dec = tail_decisions_.find(record.trace);
     if (dec == tail_decisions_.end()) {
       // Root still open: buffer, undecided. A runaway trace flushes its
@@ -225,42 +141,30 @@ void Tracer::commit_record(SpanRecord&& record, std::size_t fam) {
   finished_.push_back(std::move(record));
 }
 
-void Tracer::drop_record(const SpanRecord& record, std::size_t fam) {
-  ++sampled_out_;
-  const auto st = fam == static_cast<std::size_t>(-1)
-                      ? family_state_.end()
-                      : family_state_.find({fam, record.trace});
-  if (st != family_state_.end() && st->second.has_kept) {
-    finished_[st->second.last_kept].weight += record.weight;
-  } else {
-    weight_uncredited_ += record.weight;
-  }
-}
-
 void Tracer::head_decide(SpanRecord&& record, std::size_t fam) {
+  // The first span of each (family, trace) is kept, then 1 in keep_one_in.
   FamilyState& st = family_state_[{fam, record.trace}];
   const bool keep = st.count % policies_[fam].keep_one_in == 0;
   ++st.count;
   if (keep) {
     commit_record(std::move(record), fam);
+    return;
+  }
+  // A dropped span's weight moves to the last kept span of its family and
+  // trace, keeping sum-of-weights exactly equal to the true span count.
+  ++sampled_out_;
+  if (st.has_kept) {
+    finished_[st.last_kept].weight += record.weight;
   } else {
-    drop_record(record, fam);
+    weight_uncredited_ += record.weight;
   }
 }
 
 void Tracer::resolve_tail(std::uint64_t trace, std::int64_t root_duration_us) {
-  bool any_tail = false;
-  for (const SamplingPolicy& p : policies_) {
-    if (p.tail_threshold_us > 0) {
-      any_tail = true;
-      break;
-    }
-  }
-  if (!any_tail) return;
+  if (policies_.empty()) return;
   tail_decisions_[trace] = TailDecision{root_duration_us};
   bool slow = false;
   for (std::size_t fam = 0; fam < policies_.size(); ++fam) {
-    if (policies_[fam].tail_threshold_us <= 0) continue;
     const auto it = tail_pending_.find({fam, trace});
     if (it == tail_pending_.end() || it->second.empty()) continue;
     const bool keep_all =
@@ -463,52 +367,6 @@ void Tracer::clear() {
   next_id_ = 1;
   next_trace_ = 1;
   misuse_once_.reset();
-}
-
-void Tracer::write_jsonl(std::ostream& out) const {
-  for (const SpanRecord& s : finished_) {
-    out << "{\"id\":" << s.id << ",\"parent\":" << s.parent
-        << ",\"trace\":" << s.trace << ",\"depth\":" << s.depth
-        << ",\"component\":\"" << s.component << "\",\"name\":\"" << s.name
-        << "\",\"start_us\":" << s.start_us << ",\"end_us\":" << s.end_us;
-    if (s.weight != 1) out << ",\"weight\":" << s.weight;
-    if (!s.links.empty()) {
-      out << ",\"links\":[";
-      bool first = true;
-      for (const SpanLink& l : s.links) {
-        if (!first) out << ',';
-        first = false;
-        out << "{\"trace\":" << l.trace << ",\"span\":" << l.span
-            << ",\"kind\":";
-        append_json_string(out, l.kind);
-        out << '}';
-      }
-      out << ']';
-    }
-    if (!s.attrs.empty()) {
-      out << ",\"attrs\":{";
-      bool first = true;
-      for (const SpanAttr& a : s.attrs) {
-        if (!first) out << ',';
-        first = false;
-        append_json_string(out, a.key);
-        out << ':';
-        switch (a.kind) {
-          case SpanAttr::Kind::kInt:
-            out << a.i;
-            break;
-          case SpanAttr::Kind::kDouble:
-            out << a.d;
-            break;
-          case SpanAttr::Kind::kString:
-            append_json_string(out, a.s);
-            break;
-        }
-      }
-      out << '}';
-    }
-    out << "}\n";
-  }
 }
 
 }  // namespace blab::obs

@@ -22,15 +22,14 @@
 // while they are in flight.
 //
 // The tracer keeps a bounded in-memory buffer of finished spans (newest
-// dropped past the cap, with a counter), a bounded per-trace index for
-// O(trace) lookup, and can export as JSONL or (via obs/export) Chrome
-// trace-event JSON for Perfetto.
+// dropped past the cap, with a counter) and a bounded per-trace index for
+// O(trace) lookup; obs/export renders them as Chrome trace-event JSON for
+// Perfetto.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <ostream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -86,8 +85,7 @@ struct SpanRecord {
   /// family this record stands for. 1 unless a sampling policy applies; a
   /// policy-dropped span is never buffered and instead credits +1 here on
   /// the last kept span of its family, so weighted aggregates over the
-  /// buffer equal the exact unsampled counts. 0 marks a sampled-out span
-  /// while it is still open (it is discarded, not buffered, at end()).
+  /// buffer equal the exact unsampled counts.
   std::uint64_t weight = 1;
   std::vector<SpanAttr> attrs;
   std::vector<SpanLink> links;
@@ -151,30 +149,22 @@ class Tracer {
   /// No-op on unknown ids or past kMaxLinksPerSpan.
   void add_link(std::uint64_t id, SpanLink link);
 
-  /// Deterministic head-based sampling for a high-frequency (component,
-  /// name) family: per trace, keep 1 in every `keep_one_in` spans (the
-  /// first is always kept). Dropped spans never enter the buffer; each adds
-  /// +1 weight to the last kept span of the same family and trace, so
-  /// sum-of-weights over kept spans equals the exact span count at every
-  /// instant. `keep_one_in <= 1` removes the policy. Only apply to leaf
-  /// spans: a sampled-out span is discarded, so children parented under it
-  /// would become unreachable in their trace.
-  void set_sampling(std::string_view component, std::string_view name,
-                    std::uint64_t keep_one_in);
-
-  /// Tail-based sampling: like set_sampling, but the keep/drop decision for
-  /// each trace is deferred until its root span ends. Finished spans of the
-  /// family buffer as *pending* until then; if the root's duration is at
-  /// least `tail_threshold_us` the whole trace is a slow outlier and every
-  /// pending span commits at weight 1 (full fidelity), otherwise the
-  /// pending buffer falls back to head sampling (keep 1 in `keep_one_in`,
-  /// drops credit the last kept sibling). Spans of the family that finish
-  /// after the root carry the same decision. Everything is driven by sim
-  /// time, so the decision is deterministic and replay-stable. Conservation
-  /// contract: sum-of-weights over kept spans plus tail_pending() of the
-  /// family equals the exact span count at every instant.
-  /// `keep_one_in <= 1` removes the policy; `tail_threshold_us <= 0`
-  /// degenerates to plain head sampling.
+  /// Tail-based sampling for a high-frequency (component, name) leaf
+  /// family. The keep/drop decision for each trace waits until its root
+  /// span ends. Finished spans of the family buffer as *pending* until then;
+  /// if the root's duration is at least `tail_threshold_us` the whole trace
+  /// is a slow outlier and every pending span commits at weight 1 (full
+  /// fidelity), otherwise the pending buffer falls back to head sampling:
+  /// per trace, keep the first span and then 1 in every `keep_one_in`, each
+  /// drop adding +1 weight to the last kept span of the same family and
+  /// trace. Spans of the family that finish after the root carry the same
+  /// decision. Everything is driven by sim time, so the decision is
+  /// deterministic and replay-stable. Conservation contract: sum-of-weights
+  /// over kept spans plus tail_pending() of the family equals the exact span
+  /// count at every instant. Registers the family, or updates its values in
+  /// place (pending spans keep their unit of weight until their root
+  /// decides). Only apply to leaf spans: a dropped span is discarded, so
+  /// children parented under it would become unreachable in their trace.
   void set_tail_sampling(std::string_view component, std::string_view name,
                          std::uint64_t keep_one_in,
                          std::int64_t tail_threshold_us);
@@ -220,10 +210,6 @@ class Tracer {
 
   void clear();
 
-  /// One JSON object per line: {"id":..,"parent":..,"trace":..,"depth":..,
-  /// "component":"..","name":"..","start_us":..,"end_us":..,"attrs":{..}}
-  void write_jsonl(std::ostream& out) const;
-
  private:
   struct Open {
     SpanRecord record;
@@ -235,13 +221,12 @@ class Tracer {
     std::string component;
     std::string name;
     std::uint64_t keep_one_in = 1;
-    /// > 0 switches the family to tail mode: per-trace keep/drop decisions
-    /// wait for the trace root and compare its duration to this threshold.
+    /// Roots at least this long keep the trace's spans at full fidelity.
     std::int64_t tail_threshold_us = 0;
   };
   /// Per-(policy, trace) sampling state.
   struct FamilyState {
-    std::uint64_t count = 0;       ///< spans begun in this family+trace
+    std::uint64_t count = 0;       ///< spans head-decided in family+trace
     std::uint32_t last_kept = 0;   ///< index into finished_ of the last kept
     bool has_kept = false;
   };
@@ -258,9 +243,8 @@ class Tracer {
   void finish_record(SpanRecord&& record, std::int64_t now);
   /// Buffer-commit half of finish_record: index + family bookkeeping.
   void commit_record(SpanRecord&& record, std::size_t fam);
-  /// Discard a span under head sampling, crediting its weight.
-  void drop_record(const SpanRecord& record, std::size_t fam);
-  /// Run `record` through the head-sampling counter of its family+trace.
+  /// Run `record` through the head-sampling counter of its family+trace:
+  /// commit it, or drop it and credit its weight to the last kept sibling.
   void head_decide(SpanRecord&& record, std::size_t fam);
   /// Root of `trace` just ended with this duration: decide every tail
   /// family's pending buffer for the trace and flush it into finished_.

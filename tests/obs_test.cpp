@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <atomic>
 #include <set>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -260,22 +259,21 @@ TEST(MetricsRegistry, ExemplarAttachesAboveTheQuantile) {
   EXPECT_EQ(h.exemplar(0).trace, 1u);
 }
 
-TEST(MetricsRegistry, ExemplarQuantileIsConfigurable) {
+// The attachment threshold is the fixed 0.90 quantile: exactly 90% of prior
+// mass below the bucket still attaches, anything less does not.
+TEST(MetricsRegistry, ExemplarQuantileConstantGatesAttachment) {
+  EXPECT_DOUBLE_EQ(obs::Histogram::kExemplarQuantile, 0.90);
   obs::MetricsRegistry registry;
   obs::Histogram& h = registry.histogram("blab_lat_seconds", {1.0});
-  h.set_exemplar_quantile(0.5);
-  h.observe(0.5);
-  h.observe(0.5);
-  h.observe(2.0, obs::Exemplar{5, 100});  // 2/2 below >= 0.5: attaches
+  for (int i = 0; i < 9; ++i) h.observe(0.5);
+  h.observe(2.0, obs::Exemplar{5, 100});  // 9/9 below >= 0.9: attaches
   EXPECT_EQ(h.exemplar(1).trace, 5u);
-  h.observe(0.3, obs::Exemplar{6, 200});  // 0/3 below < 0.5: rejected
+  h.observe(2.0, obs::Exemplar{6, 200});  // 9/10 below == 0.9: attaches
+  EXPECT_EQ(h.exemplar(1).trace, 6u);
+  h.observe(2.0, obs::Exemplar{7, 300});  // 9/11 below < 0.9: rejected
+  EXPECT_EQ(h.exemplar(1).trace, 6u);
+  h.observe(0.3, obs::Exemplar{8, 400});  // 0/12 below: rejected
   EXPECT_FALSE(h.exemplar(0).valid());
-
-  h.set_exemplar_quantile(0.0);  // admit everything; latest wins
-  h.observe(0.3, obs::Exemplar{7, 300});
-  EXPECT_EQ(h.exemplar(0).trace, 7u);
-  h.observe(2.5, obs::Exemplar{8, 400});
-  EXPECT_EQ(h.exemplar(1).trace, 8u);
 }
 
 TEST(Encoders, PrometheusRendersExemplarSuffixes) {
@@ -372,11 +370,13 @@ TEST(Spans, NestAndCloseLifoOnSimClock) {
   EXPECT_EQ(outer.duration_us(), 400);
   EXPECT_EQ(tracer.open_depth(), 0u);
 
-  std::ostringstream jsonl;
-  tracer.write_jsonl(jsonl);
-  EXPECT_NE(jsonl.str().find("\"name\":\"run_job\""), std::string::npos);
-  EXPECT_NE(jsonl.str().find("\"component\":\"scheduler\""),
-            std::string::npos);
+  const std::string json = obs::encode_trace_json(tracer.spans());
+  EXPECT_NE(json.find("\"name\":\"run_job\",\"cat\":\"scheduler\""),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"parent\":" + std::to_string(outer.id)),
+            std::string::npos)
+      << json;
 }
 
 TEST(Spans, NullTracerIsANoOp) {
@@ -480,14 +480,19 @@ TEST(Spans, OpenSpansSurviveTheSimulatorEventCap) {
 
 // ----------------------------------------------------------- sampling ----
 
-// The conservation contract: with keep-1-in-4 on (mirror, frame), opening
-// and closing N frame spans buffers only the kept ones, but their weights
-// always sum to the exact span count — at every instant, not just at the
-// end — so weighted aggregates equal unsampled counters.
+// A tail threshold no test trace reaches: every root here is fast, so the
+// family's pending spans fall back to head sampling when the root ends.
+constexpr std::int64_t kNeverSlowUs = 1'000'000'000;
+
+// The conservation contract: with keep-1-in-4 on (mirror, frame) and a fast
+// root, opening and closing N frame spans buffers them pending at full
+// weight, then keeps only 1 in 4 — and kept weights plus pending always sum
+// to the exact span count, at every instant, so weighted aggregates equal
+// unsampled counters.
 TEST(Sampling, WeightsConserveTheExactSpanCount) {
   std::int64_t now_us = 0;
   obs::Tracer tracer{[&] { return now_us; }};
-  tracer.set_sampling("mirror", "frame", 4);
+  tracer.set_tail_sampling("mirror", "frame", 4, kNeverSlowUs);
   const std::uint64_t session = tracer.begin_detached("mirror", "session");
   const obs::TraceContext ctx = tracer.context_of(session);
   for (int i = 0; i < 10; ++i) {
@@ -495,7 +500,8 @@ TEST(Sampling, WeightsConserveTheExactSpanCount) {
     { obs::ScopedSpan frame{&tracer, "mirror", "frame", ctx}; }
     std::uint64_t weighted = 0;
     for (const obs::SpanRecord& s : tracer.spans()) weighted += s.weight;
-    EXPECT_EQ(weighted, static_cast<std::uint64_t>(i + 1))
+    EXPECT_EQ(weighted + tracer.tail_pending(),
+              static_cast<std::uint64_t>(i + 1))
         << "conservation broke after frame " << i;
   }
   tracer.end(session);
@@ -509,6 +515,7 @@ TEST(Sampling, WeightsConserveTheExactSpanCount) {
   EXPECT_EQ(frame_weights, (std::vector<std::uint64_t>{4, 4, 2}));
   EXPECT_EQ(tracer.sampled_out(), 7u);
   EXPECT_EQ(tracer.weight_uncredited(), 0u);
+  EXPECT_EQ(tracer.tail_pending(), 0u);
   // The unsampled session span keeps weight 1.
   EXPECT_EQ(tracer.spans().back().weight, 1u);
 }
@@ -518,7 +525,7 @@ TEST(Sampling, WeightsConserveTheExactSpanCount) {
 TEST(Sampling, FirstSpanOfEveryTraceIsKept) {
   std::int64_t now_us = 0;
   obs::Tracer tracer{[&] { return now_us; }};
-  tracer.set_sampling("mirror", "frame", 8);
+  tracer.set_tail_sampling("mirror", "frame", 8, kNeverSlowUs);
   for (int t = 0; t < 3; ++t) {
     const std::uint64_t root = tracer.begin_detached("mirror", "session");
     const obs::TraceContext ctx = tracer.context_of(root);
@@ -533,38 +540,23 @@ TEST(Sampling, FirstSpanOfEveryTraceIsKept) {
   EXPECT_EQ(tracer.sampled_out(), 0u);
 }
 
-TEST(Sampling, KeepOneInOneRemovesThePolicy) {
-  std::int64_t now_us = 0;
-  obs::Tracer tracer{[&] { return now_us; }};
-  tracer.set_sampling("mirror", "frame", 4);
-  tracer.set_sampling("mirror", "frame", 1);
-  const std::uint64_t root = tracer.begin_detached("mirror", "session");
-  const obs::TraceContext ctx = tracer.context_of(root);
-  for (int i = 0; i < 6; ++i) {
-    obs::ScopedSpan frame{&tracer, "mirror", "frame", ctx};
-  }
-  tracer.end(root);
-  EXPECT_EQ(tracer.spans().size(), 7u);
-  EXPECT_EQ(tracer.sampled_out(), 0u);
-}
-
-// end() misuse accounting must stay exact for sampled-out spans: the span
-// was never buffered, but its id is live until the first end(), and only a
-// second end() of the same id is a mismatch.
+// end() misuse accounting must stay exact for spans the sampler later
+// drops: the first end() of a span is clean even though the span is only
+// buffered pending, and only a second end() of the same id is a mismatch.
 TEST(Sampling, EndMismatchCountingSurvivesSampledOutSpans) {
   std::int64_t now_us = 0;
   obs::Tracer tracer{[&] { return now_us; }};
-  tracer.set_sampling("mirror", "frame", 2);
+  tracer.set_tail_sampling("mirror", "frame", 2, kNeverSlowUs);
   const std::uint64_t root = tracer.begin_detached("mirror", "session");
   const obs::TraceContext ctx = tracer.context_of(root);
   const std::uint64_t kept = tracer.begin_detached("mirror", "frame", ctx);
   const std::uint64_t dropped = tracer.begin_detached("mirror", "frame", ctx);
   tracer.end(kept);
-  tracer.end(dropped);  // discarded, not buffered — still a clean end
+  tracer.end(dropped);  // buffered pending — a clean end
   EXPECT_EQ(tracer.end_mismatches(), 0u);
-  tracer.end(dropped);  // double end of the sampled-out span
+  tracer.end(dropped);  // double end of the span
   EXPECT_EQ(tracer.end_mismatches(), 1u);
-  tracer.end(root);
+  tracer.end(root);  // fast root: head fallback drops the second frame
   EXPECT_EQ(tracer.sampled_out(), 1u);
   ASSERT_EQ(tracer.spans().size(), 2u);
   EXPECT_EQ(tracer.spans()[0].weight, 2u) << "drop credited the kept frame";
@@ -698,28 +690,6 @@ TEST(TailSampling, PendingBufferOverflowFlushesPrefix) {
   EXPECT_EQ(tracer.tail_pending(), 0u);
 }
 
-// Re-configuring or removing the policy flushes pending spans through the
-// previous policy's head fallback rather than leaking them.
-TEST(TailSampling, RemovingThePolicyFlushesPendingSpans) {
-  std::int64_t now_us = 0;
-  obs::Tracer tracer{[&] { return now_us; }};
-  tracer.set_tail_sampling("mirror", "frame", 2, 1000);
-  const std::uint64_t root = tracer.begin_detached("mirror", "session");
-  const obs::TraceContext ctx = tracer.context_of(root);
-  for (int i = 0; i < 4; ++i) {
-    obs::ScopedSpan frame{&tracer, "mirror", "frame", ctx};
-  }
-  EXPECT_EQ(tracer.tail_pending("mirror", "frame"), 4u);
-  tracer.set_tail_sampling("mirror", "frame", 1, 0);  // remove
-  EXPECT_EQ(tracer.tail_pending(), 0u);
-  std::uint64_t weighted = 0;
-  for (const obs::SpanRecord& s : tracer.spans()) {
-    if (s.name == "frame") weighted += s.weight;
-  }
-  EXPECT_EQ(weighted, 4u) << "the flush conserves every buffered span";
-  tracer.end(root);
-}
-
 // ------------------------------------------------------------- links -----
 
 TEST(Links, TypedCrossTraceEdgesAttachAndCap) {
@@ -755,25 +725,20 @@ TEST(Links, TypedCrossTraceEdgesAttachAndCap) {
 TEST(Links, PerfettoRendersWeightAndLinkArgs) {
   std::int64_t now_us = 0;
   obs::Tracer tracer{[&] { return now_us; }};
-  tracer.set_sampling("mirror", "frame", 2);
+  tracer.set_tail_sampling("mirror", "frame", 2, kNeverSlowUs);
   const std::uint64_t root = tracer.begin_detached("mirror", "session");
   const obs::TraceContext ctx = tracer.context_of(root);
   const std::uint64_t a = tracer.begin_detached("mirror", "frame", ctx);
   tracer.end(a);
   const std::uint64_t b = tracer.begin_detached("mirror", "frame", ctx);
-  tracer.end(b);  // sampled out: credits a's record with weight 2
+  tracer.end(b);
   tracer.add_link(root, obs::SpanLink{7, 3, "retry_of"});
-  tracer.end(root);
+  tracer.end(root);  // fast root: b is sampled out, crediting a with weight 2
 
   const std::string json = obs::encode_trace_json(tracer.spans());
   EXPECT_NE(json.find("\"weight\":2"), std::string::npos) << json;
   EXPECT_NE(json.find("\"link.retry_of\":\"7:3\""), std::string::npos)
       << json;
-
-  std::ostringstream jsonl;
-  tracer.write_jsonl(jsonl);
-  EXPECT_NE(jsonl.str().find("\"weight\":2"), std::string::npos);
-  EXPECT_NE(jsonl.str().find("retry_of"), std::string::npos);
 }
 
 // ----------------------------------------------------------- aggregate ----
