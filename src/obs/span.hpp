@@ -155,16 +155,17 @@ class Tracer {
   /// if the root's duration is at least `tail_threshold_us` the whole trace
   /// is a slow outlier and every pending span commits at weight 1 (full
   /// fidelity), otherwise the pending buffer falls back to head sampling:
-  /// per trace, keep the first span and then 1 in every `keep_one_in`, each
-  /// drop adding +1 weight to the last kept span of the same family and
-  /// trace. Spans of the family that finish after the root carry the same
-  /// decision. Everything is driven by sim time, so the decision is
-  /// deterministic and replay-stable. Conservation contract: sum-of-weights
-  /// over kept spans plus tail_pending() of the family equals the exact span
-  /// count at every instant. Registers the family, or updates its values in
-  /// place (pending spans keep their unit of weight until their root
-  /// decides). Only apply to leaf spans: a dropped span is discarded, so
-  /// children parented under it would become unreachable in their trace.
+  /// per trace, keep the first span and then 1 in every `keep_one_in` (0
+  /// acts as 1), each drop adding +1 weight to the last kept span of the
+  /// same family and trace. Spans of the family that finish after the root
+  /// carry the same decision. Everything is driven by sim time, so the
+  /// decision is deterministic and replay-stable. Conservation contract:
+  /// sum-of-weights over kept spans plus tail_pending() of the family
+  /// equals the exact span count at every instant. Registers the family, or
+  /// updates its values in place (pending spans keep their unit of weight
+  /// until their root decides). Only apply to leaf spans: a dropped span is
+  /// discarded, so children parented under it would become unreachable in
+  /// their trace.
   void set_tail_sampling(std::string_view component, std::string_view name,
                          std::uint64_t keep_one_in,
                          std::int64_t tail_threshold_us);
