@@ -228,6 +228,10 @@ struct RejectCase {
   const char* message_prefix; ///< start of the expected error message
 };
 
+// Without this gtest prints the struct's raw bytes, i.e. the string
+// pointers, and the listed test names would change with every load address.
+void PrintTo(const RejectCase& c, std::ostream* os) { *os << c.label; }
+
 class TraceIoRejects : public ::testing::TestWithParam<RejectCase> {};
 
 TEST_P(TraceIoRejects, TypedErrorWithStableMessage) {
