@@ -39,6 +39,7 @@
 #include "hw/power_monitor.hpp"
 #include "store/chunked_capture.hpp"
 #include "store/codec.hpp"
+#include "store/persist/crc32c.hpp"
 #include "store/persist/formats.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
@@ -174,12 +175,14 @@ int main(int argc, char** argv) {
     r1.name = "SM-G960F";
     r1.stored_at = TimePoint::from_micros(9000000);
     r1.capture = make_capture_bytes(rng, 128, 32, false);
+    r1.crc = persist::crc32c(r1.capture);
     records.push_back(r1);
     persist::SegmentRecord r2;
     r2.id = {"vp-oslo", 9};
     r2.name = "BacoX";
     r2.stored_at = TimePoint::from_micros(12500000);
     r2.capture = make_capture_bytes(rng, 96, 32, false);
+    r2.crc = persist::crc32c(r2.capture);
     records.push_back(r2);
 
     const std::string raw = persist::build_segment(persist::kTierRaw, records);
@@ -192,6 +195,7 @@ int main(int argc, char** argv) {
       auto cc = blab::store::ChunkedCapture::deserialize(r.capture);
       cc.value().drop_raw();
       r.capture = cc.value().serialize();
+      r.crc = persist::crc32c(r.capture);
     }
     ok &= write_file(
         root + "/persist_fuzz/segment_summary",

@@ -118,7 +118,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
               break;
             }
             records.push_back({e.id, e.name, e.stored_at,
-                               std::string{payload.value()}});
+                               std::string{payload.value()}, e.crc});
           }
           if (payloads_ok) {
             FUZZ_ASSERT(persist::build_segment(parsed.value().tier, records) ==
@@ -139,6 +139,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
         r.stored_at =
             TimePoint::from_micros(static_cast<std::int64_t>(in.u32()));
         r.capture = in.bytes(in.u8());
+        r.crc = persist::crc32c(r.capture);
         records.push_back(std::move(r));
       }
       std::string image = persist::build_segment(tier, records);

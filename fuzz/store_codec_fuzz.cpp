@@ -4,8 +4,9 @@
 // Modes (first input byte):
 //   0: arbitrary bytes through decode_samples; accepted payloads must
 //      re-encode byte-identically (canonical varints make this total);
-//   1: structured sample round-trip — arbitrary bit patterns encode, decode
-//      bit-exactly, and decoding with the wrong count must fail;
+//   1: structured sample round-trip — arbitrary bit patterns encode to
+//      the put_varint reference stream, decode bit-exactly, and decoding
+//      with the wrong count must fail;
 //   2: arbitrary bytes through ChunkedCapture::deserialize; accepted
 //      captures must re-serialize byte-identically and answer every footer
 //      query without crashing;
@@ -65,6 +66,19 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       for (std::size_t i = 0; i < n; ++i) samples.push_back(in.f32_bits());
       const std::string bytes =
           blab::store::encode_samples(samples.data(), samples.size());
+      // The branch-free encoder must emit exactly the put_varint stream.
+      std::string reference;
+      std::int64_t prev = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        std::uint32_t bits = 0;
+        std::memcpy(&bits, &samples[i], sizeof bits);
+        const std::int64_t cur = bits;
+        blab::store::put_varint(
+            reference, i == 0 ? static_cast<std::uint64_t>(cur)
+                              : blab::store::zigzag_encode(cur - prev));
+        prev = cur;
+      }
+      FUZZ_ASSERT(bytes == reference);
       std::vector<float> decoded;
       FUZZ_ASSERT(blab::store::decode_samples(bytes, n, decoded));
       FUZZ_ASSERT(decoded.size() == n);

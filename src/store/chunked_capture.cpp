@@ -15,33 +15,33 @@ util::Error malformed(std::string what) {
                           "chunked capture: " + std::move(what));
 }
 
-Tier build_tier(const std::vector<float>& samples, std::size_t factor,
-                double raw_hz) {
+/// Running (min, max, sum) of one tier's current window. Each window sums
+/// its samples sequentially in double from 0.0, so one pass that feeds
+/// every tier yields the same floats as reducing each window on its own.
+struct TierBuilder {
   Tier tier;
-  tier.factor = factor;
-  tier.rate_hz = raw_hz / static_cast<double>(factor);
-  const std::size_t buckets = (samples.size() + factor - 1) / factor;
-  tier.mean_ma.reserve(buckets);
-  tier.min_ma.reserve(buckets);
-  tier.max_ma.reserve(buckets);
-  for (std::size_t b = 0; b < buckets; ++b) {
-    const std::size_t begin = b * factor;
-    const std::size_t end = std::min(begin + factor, samples.size());
-    float lo = samples[begin];
-    float hi = samples[begin];
-    double sum = 0.0;
-    for (std::size_t i = begin; i < end; ++i) {
-      lo = std::min(lo, samples[i]);
-      hi = std::max(hi, samples[i]);
-      sum += static_cast<double>(samples[i]);
-    }
+  std::size_t filled = 0;
+  float lo = 0.0f;
+  float hi = 0.0f;
+  double sum = 0.0;
+
+  void add(float v) {
+    if (filled == 0) lo = hi = v;
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+    sum += static_cast<double>(v);
+    if (++filled == tier.factor) flush();
+  }
+
+  void flush() {
     tier.mean_ma.push_back(
-        static_cast<float>(sum / static_cast<double>(end - begin)));
+        static_cast<float>(sum / static_cast<double>(filled)));
     tier.min_ma.push_back(lo);
     tier.max_ma.push_back(hi);
+    filled = 0;
+    sum = 0.0;
   }
-  return tier;
-}
+};
 
 void put_tier(std::string& out, const Tier& tier) {
   put_u64(out, tier.factor);
@@ -91,37 +91,59 @@ ChunkedCapture ChunkedCapture::encode(const hw::Capture& capture,
   cc.chunk_samples_ = std::max<std::size_t>(chunk_samples, 1);
   const auto& samples = capture.samples_ma();
   cc.sample_count_ = samples.size();
+  if (samples.empty()) return cc;
 
+  std::vector<TierBuilder> builders;
+  for (double rate : kTierRatesHz) {
+    if (rate >= cc.sample_hz_) continue;
+    const auto factor =
+        static_cast<std::size_t>(std::llround(cc.sample_hz_ / rate));
+    if (factor < 2) continue;
+    if (!builders.empty() && builders.back().tier.factor == factor) continue;
+    TierBuilder& b = builders.emplace_back();
+    b.tier.factor = factor;
+    b.tier.rate_hz = cc.sample_hz_ / static_cast<double>(factor);
+    const std::size_t buckets = (samples.size() + factor - 1) / factor;
+    b.tier.mean_ma.reserve(buckets);
+    b.tier.min_ma.reserve(buckets);
+    b.tier.max_ma.reserve(buckets);
+  }
+
+  // One pass: each sample is varint-encoded into a shared scratch buffer,
+  // folded into its chunk footer and into every tier's window. The chunk
+  // keeps only its exact encoded bytes.
+  std::string scratch(
+      encoded_samples_bound(std::min(cc.chunk_samples_, samples.size())),
+      '\0');
+  cc.chunks_.reserve((samples.size() + cc.chunk_samples_ - 1) /
+                     cc.chunk_samples_);
   for (std::size_t begin = 0; begin < samples.size();
        begin += cc.chunk_samples_) {
     const std::size_t end =
         std::min(begin + cc.chunk_samples_, samples.size());
-    EncodedChunk chunk;
-    chunk.footer.count = static_cast<std::uint32_t>(end - begin);
+    SampleEncoder encoder{scratch.data(), samples[begin]};
     float lo = samples[begin];
     float hi = samples[begin];
     double sum = 0.0;
     for (std::size_t i = begin; i < end; ++i) {
-      lo = std::min(lo, samples[i]);
-      hi = std::max(hi, samples[i]);
-      sum += static_cast<double>(samples[i]);
+      const float v = samples[i];
+      if (i > begin) encoder.add(v);
+      lo = std::min(lo, v);
+      hi = std::max(hi, v);
+      sum += static_cast<double>(v);
+      for (TierBuilder& b : builders) b.add(v);
     }
+    EncodedChunk& chunk = cc.chunks_.emplace_back();
+    chunk.footer.count = static_cast<std::uint32_t>(end - begin);
     chunk.footer.min_ma = lo;
     chunk.footer.max_ma = hi;
     chunk.footer.sum_ma = sum;
-    chunk.bytes = encode_samples(samples.data() + begin, end - begin);
-    cc.chunks_.push_back(std::move(chunk));
+    chunk.bytes.assign(scratch.data(), encoder.size());
   }
 
-  if (!samples.empty()) {
-    for (double rate : kTierRatesHz) {
-      if (rate >= cc.sample_hz_) continue;
-      const auto factor =
-          static_cast<std::size_t>(std::llround(cc.sample_hz_ / rate));
-      if (factor < 2) continue;
-      if (!cc.tiers_.empty() && cc.tiers_.back().factor == factor) continue;
-      cc.tiers_.push_back(build_tier(samples, factor, cc.sample_hz_));
-    }
+  for (TierBuilder& b : builders) {
+    if (b.filled > 0) b.flush();
+    cc.tiers_.push_back(std::move(b.tier));
   }
   return cc;
 }

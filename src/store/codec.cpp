@@ -1,7 +1,5 @@
 #include "store/codec.hpp"
 
-#include <bit>
-
 namespace blab::store {
 
 void put_varint(std::string& out, std::uint64_t v) {
@@ -81,17 +79,11 @@ const char* get_f64(const char* p, const char* end, double& v) {
 }
 
 std::string encode_samples(const float* samples, std::size_t n) {
-  std::string out;
-  if (n == 0) return out;
-  out.reserve(n * 3);
-  std::int64_t prev = std::bit_cast<std::uint32_t>(samples[0]);
-  put_varint(out, static_cast<std::uint64_t>(prev));
-  for (std::size_t i = 1; i < n; ++i) {
-    const std::int64_t bits = std::bit_cast<std::uint32_t>(samples[i]);
-    put_varint(out, zigzag_encode(bits - prev));
-    prev = bits;
-  }
-  return out;
+  if (n == 0) return {};
+  std::string scratch(encoded_samples_bound(n), '\0');
+  SampleEncoder encoder{scratch.data(), samples[0]};
+  for (std::size_t i = 1; i < n; ++i) encoder.add(samples[i]);
+  return scratch.substr(0, encoder.size());
 }
 
 bool decode_samples(std::string_view bytes, std::size_t n,

@@ -7,7 +7,9 @@
 // 5 kHz browser capture to 2-3 bytes per sample.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -46,6 +48,54 @@ const char* get_f64(const char* p, const char* end, double& v);
 /// delta(bit pattern) + zigzag + varint for the rest. Deterministic: the
 /// same samples always produce the same bytes.
 std::string encode_samples(const float* samples, std::size_t n);
+
+/// Bytes a SampleEncoder may touch for `n` samples: at most 5 per sample,
+/// plus 3 bytes of slack for the last varint's 8-byte store.
+constexpr std::size_t encoded_samples_bound(std::size_t n) {
+  return 5 * n + 3;
+}
+
+/// The encode_samples stream, written sample by sample into a caller
+/// buffer of at least encoded_samples_bound(n) bytes. A 32-bit pattern and
+/// the zigzagged delta of two of them are both below 2^35, so every varint
+/// takes 1-5 bytes: its length comes from std::bit_width, its 7-bit groups
+/// are spread with shifts and masks, and one 8-byte store writes it. The
+/// bytes equal put_varint's; only the writing is branch-free.
+class SampleEncoder {
+ public:
+  SampleEncoder(char* out, float first)
+      : begin_{out}, p_{out}, prev_{std::bit_cast<std::uint32_t>(first)} {
+    put(static_cast<std::uint64_t>(prev_));
+  }
+
+  void add(float sample) {
+    const std::int64_t bits = std::bit_cast<std::uint32_t>(sample);
+    put(zigzag_encode(bits - prev_));
+    prev_ = bits;
+  }
+
+  std::size_t size() const { return static_cast<std::size_t>(p_ - begin_); }
+
+ private:
+  void put(std::uint64_t v) {
+    const auto len = static_cast<std::size_t>(std::bit_width(v | 1) + 6) / 7;
+    std::uint64_t word = (v & 0x7Fu) | ((v << 1) & 0x7F00u) |
+                         ((v << 2) & 0x7F0000u) | ((v << 3) & 0x7F000000u) |
+                         ((v << 4) & 0x7F00000000u);
+    // Continuation bit on every byte but the last.
+    word |= 0x80808080u & ((std::uint64_t{1} << (8 * (len - 1))) - 1);
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(p_, &word, 8);
+    } else {
+      for (int i = 0; i < 8; ++i) p_[i] = static_cast<char>(word >> (8 * i));
+    }
+    p_ += len;
+  }
+
+  char* begin_;
+  char* p_;
+  std::int64_t prev_;
+};
 
 /// Decode exactly `n` samples appended to `out`; false on malformed input
 /// (truncated or trailing bytes, overlong varints, deltas leaving the

@@ -409,6 +409,7 @@ util::Status PersistEngine::recover_shard(
         entry.shard = shard_index;
         entry.offset = record.capture_offset;
         entry.length = record.capture.size();
+        entry.crc = crc32c(record.capture);
         index_.emplace(std::move(record.id), std::move(entry));
         break;
       }
@@ -496,6 +497,7 @@ util::Status PersistEngine::append(const CaptureId& id,
   // The capture bytes are the frame's final field.
   entry.offset = shard.wal_size - record.capture.size();
   entry.length = record.capture.size();
+  entry.crc = crc32c(record.capture);
   index_[id] = std::move(entry);
   next_seq_ = std::max(next_seq_, id.seq + 1);
   sync_gauges();
@@ -559,8 +561,11 @@ util::Status PersistEngine::checkpoint_shard(std::size_t shard_index) {
   // Gather everything the new segments must hold, by destination tier.
   std::vector<SegmentRecord> raw_records;
   std::vector<SegmentRecord> summary_records;
+  // `bytes` arrive verified against `crc`, which the new segment reuses
+  // unless demotion rewrites them.
   const auto add_record = [&](const CaptureId& id, const Entry& entry,
-                              std::string bytes) -> util::Status {
+                              std::string bytes,
+                              std::uint32_t crc) -> util::Status {
     SegmentRecord record;
     record.id = id;
     record.name = entry.name;
@@ -569,24 +574,37 @@ util::Status PersistEngine::checkpoint_shard(std::size_t shard_index) {
       auto demoted = demote_to_summary(bytes);
       if (!demoted.ok()) return demoted.error();
       record.capture = std::move(demoted).take();
+      record.crc = crc32c(record.capture);
       summary_records.push_back(std::move(record));
     } else {
       record.capture = std::move(bytes);
+      record.crc = crc;
       raw_records.push_back(std::move(record));
     }
     return util::Status::ok_status();
   };
 
-  // WAL-resident entries, in id order (map order).
+  // WAL-resident entries, in id order (map order). A record whose bytes no
+  // longer match the checksum taken at append is never sealed into a
+  // segment: like a corrupt segment, it is dropped from the index.
   if (shard.wal != nullptr) std::fflush(shard.wal);
+  std::vector<CaptureId> corrupt;
   for (const auto& [id, entry] : index_) {
     if (entry.shard != shard_index || !entry.segment.empty()) continue;
     auto bytes = read_file_slice(wal_path(shard), entry.offset, entry.length);
     if (!bytes.ok()) return bytes.error();
-    if (auto st = add_record(id, entry, std::move(bytes).take()); !st.ok()) {
+    if (crc32c(bytes.value()) != entry.crc) {
+      BLAB_WARN("persist", "checkpoint dropping WAL record "
+                               << id.str() << ": checksum mismatch");
+      corrupt.push_back(id);
+      continue;
+    }
+    if (auto st = add_record(id, entry, std::move(bytes).take(), entry.crc);
+        !st.ok()) {
       return st;
     }
   }
+  for (const CaptureId& id : corrupt) index_.erase(id);
 
   // Dirty segments: rewrite their surviving records into the new streams.
   std::vector<std::string> replaced;
@@ -622,7 +640,8 @@ util::Status PersistEngine::checkpoint_shard(std::size_t shard_index) {
       }
       auto slice = segment_capture_bytes(bytes.value(), e);
       if (!slice.ok()) return slice.error();
-      if (auto st = add_record(e.id, it->second, std::string{slice.value()});
+      if (auto st =
+              add_record(e.id, it->second, std::string{slice.value()}, e.crc);
           !st.ok()) {
         return st;
       }
@@ -850,24 +869,19 @@ util::Result<ChunkedCapture> PersistEngine::load(const CaptureId& id) {
   }
   const Entry& entry = it->second;
   Shard& shard = shards_[entry.shard];
-  std::string bytes;
-  if (entry.segment.empty()) {
-    if (shard.wal != nullptr) std::fflush(shard.wal);
-    auto slice = read_file_slice(wal_path(shard), entry.offset, entry.length);
-    if (!slice.ok()) return slice.error();
-    bytes = std::move(slice).take();
-  } else {
-    auto slice = read_file_slice(shard_path(shard) + "/" + entry.segment,
-                                 entry.offset, entry.length);
-    if (!slice.ok()) return slice.error();
-    bytes = std::move(slice).take();
-    if (crc32c(bytes) != entry.crc) {
-      return util::make_error(util::ErrorCode::kUnavailable,
-                              "checksum mismatch loading " + id.str() +
-                                  " from " + entry.segment);
-    }
+  const bool in_wal = entry.segment.empty();
+  if (in_wal && shard.wal != nullptr) std::fflush(shard.wal);
+  auto bytes = read_file_slice(
+      in_wal ? wal_path(shard) : shard_path(shard) + "/" + entry.segment,
+      entry.offset, entry.length);
+  if (!bytes.ok()) return bytes.error();
+  if (crc32c(bytes.value()) != entry.crc) {
+    return util::make_error(
+        util::ErrorCode::kUnavailable,
+        "checksum mismatch loading " + id.str() + " from " +
+            (in_wal ? std::string{"wal.log"} : entry.segment));
   }
-  auto cc = ChunkedCapture::deserialize(bytes);
+  auto cc = ChunkedCapture::deserialize(bytes.value());
   if (!cc.ok()) return cc.error();
   if (entry.raw_dropped && cc.value().raw_available()) {
     cc.value().drop_raw();

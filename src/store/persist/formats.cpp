@@ -66,18 +66,23 @@ bool parse_wal_payload(std::string_view payload, WalRecord& record) {
 }  // namespace
 
 void append_wal_record(std::string& out, const WalRecord& record) {
-  std::string payload;
-  payload.push_back(static_cast<char>(record.op));
-  put_string(payload, record.id.workspace);
-  put_u64(payload, record.id.seq);
+  // The payload goes straight into `out` behind a placeholder header, which
+  // is filled in once its length and checksum are known.
+  const std::size_t header = out.size();
+  out.append(8, '\0');
+  out.push_back(static_cast<char>(record.op));
+  put_string(out, record.id.workspace);
+  put_u64(out, record.id.seq);
   if (record.op == WalOp::kAppend) {
-    put_string(payload, record.name);
-    put_u64(payload, static_cast<std::uint64_t>(record.stored_at.us()));
-    payload.append(record.capture);
+    put_string(out, record.name);
+    put_u64(out, static_cast<std::uint64_t>(record.stored_at.us()));
+    out.append(record.capture);
   }
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  put_u32(out, crc32c(payload));
-  out.append(payload);
+  const std::string_view payload = std::string_view{out}.substr(header + 8);
+  std::string frame_header;
+  put_u32(frame_header, static_cast<std::uint32_t>(payload.size()));
+  put_u32(frame_header, crc32c(payload));
+  out.replace(header, 8, frame_header);
 }
 
 WalReplay parse_wal(std::string_view bytes) {
@@ -119,7 +124,7 @@ std::string build_segment(std::uint8_t tier,
     entry.stored_at = record.stored_at;
     entry.offset = out.size();
     entry.length = record.capture.size();
-    entry.crc = crc32c(record.capture);
+    entry.crc = record.crc;
     out.append(record.capture);
     entries.push_back(std::move(entry));
   }

@@ -97,6 +97,7 @@ struct SegmentRecord {
   std::string name;
   util::TimePoint stored_at;
   std::string capture;  ///< ChunkedCapture::serialize() bytes
+  std::uint32_t crc = 0;  ///< crc32c(capture), supplied by the caller
 };
 
 struct SegmentEntry {
@@ -114,7 +115,9 @@ struct SegmentIndex {
 };
 
 /// Build a complete segment file image. Records are laid out densely in the
-/// given order; the per-entry CRC is computed here.
+/// given order; each entry's CRC is the record's `crc`, which the caller
+/// already holds from verifying the bytes it read, so nothing is hashed
+/// twice.
 std::string build_segment(std::uint8_t tier,
                           const std::vector<SegmentRecord>& records);
 

@@ -11,7 +11,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "hw/power_monitor.hpp"
@@ -97,20 +99,74 @@ std::vector<persist::WalRecord> make_wal_fixture() {
 // CRC32C.
 // ------------------------------------------------------------------------
 
+/// Bit-at-a-time CRC32C straight from the polynomial: the reference both
+/// implementations must agree with.
+std::uint32_t crc32c_bitwise(std::string_view data, std::uint32_t crc = 0) {
+  crc = ~crc;
+  for (const unsigned char byte : data) {
+    crc ^= byte;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) ? (crc >> 1) ^ 0x82F63B78u : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+std::string random_bytes(std::uint64_t seed, std::size_t n) {
+  blab::util::Rng rng{seed};
+  std::string out(n, '\0');
+  for (char& c : out) c = static_cast<char>(rng.next_u64());
+  return out;
+}
+
 TEST(Crc32c, MatchesKnownVectors) {
-  // RFC 3720 appendix B test vector.
-  EXPECT_EQ(persist::crc32c("123456789"), 0xE3069283u);
-  EXPECT_EQ(persist::crc32c(""), 0u);
+  // RFC 3720 appendix B test vectors, through both implementations.
   const std::string zeros(32, '\0');
-  EXPECT_EQ(persist::crc32c(zeros), 0x8A9136AAu);
+  const std::string ones(32, '\xFF');
+  std::string ascending(32, '\0');
+  for (std::size_t i = 0; i < ascending.size(); ++i) {
+    ascending[i] = static_cast<char>(i);
+  }
+  for (const auto crc : {&persist::crc32c, &persist::detail::crc32c_slice8}) {
+    EXPECT_EQ(crc("123456789", 0), 0xE3069283u);
+    EXPECT_EQ(crc("", 0), 0u);
+    EXPECT_EQ(crc(zeros, 0), 0x8A9136AAu);
+    EXPECT_EQ(crc(ones, 0), 0x62A8AB43u);
+    EXPECT_EQ(crc(ascending, 0), 0x46DD794Eu);
+  }
+}
+
+TEST(Crc32c, BothPathsMatchBitwiseReferenceAtEveryLengthAndAlignment) {
+  // Lengths 0-300 cover every 8-byte body/tail split; the eight start
+  // offsets cover every alignment of the 8-byte loads.
+  const std::string buffer = random_bytes(7, 300 + 8);
+  for (std::size_t align = 0; align < 8; ++align) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const std::string_view data =
+          std::string_view{buffer}.substr(align, len);
+      const std::uint32_t want = crc32c_bitwise(data);
+      ASSERT_EQ(persist::crc32c(data), want) << align << "/" << len;
+      ASSERT_EQ(persist::detail::crc32c_slice8(data), want)
+          << align << "/" << len;
+    }
+  }
+  const std::string mib = random_bytes(8, 1u << 20);
+  const std::uint32_t want = crc32c_bitwise(mib);
+  EXPECT_EQ(persist::crc32c(mib), want);
+  EXPECT_EQ(persist::detail::crc32c_slice8(mib), want);
 }
 
 TEST(Crc32c, ChainsIncrementally) {
-  const std::string data = "the quick brown fox jumps over the lazy dog";
-  const auto whole = persist::crc32c(data);
+  const std::string data = random_bytes(9, 300);
+  const std::uint32_t whole = crc32c_bitwise(data);
   for (std::size_t cut = 0; cut <= data.size(); ++cut) {
-    const auto first = persist::crc32c(data.substr(0, cut));
-    EXPECT_EQ(persist::crc32c(data.substr(cut), first), whole) << cut;
+    const std::string_view head = std::string_view{data}.substr(0, cut);
+    const std::string_view tail = std::string_view{data}.substr(cut);
+    EXPECT_EQ(persist::crc32c(tail, persist::crc32c(head)), whole) << cut;
+    EXPECT_EQ(persist::detail::crc32c_slice8(
+                  tail, persist::detail::crc32c_slice8(head)),
+              whole)
+        << cut;
   }
 }
 
@@ -183,11 +239,13 @@ TEST(WalFormat, ByteFlipAtEveryOffsetNeverYieldsWrongData) {
 // ------------------------------------------------------------------------
 
 std::vector<persist::SegmentRecord> make_segment_fixture() {
-  return {
+  std::vector<persist::SegmentRecord> records = {
       {{"vp-oslo", 1}, "DEV-1", TimePoint::from_micros(100), capture_bytes(21, 90)},
       {{"vp-oslo", 4}, "DEV-2", TimePoint::from_micros(200), capture_bytes(22, 30)},
       {{"vp-rio", 2}, "DEV-3", TimePoint::from_micros(300), capture_bytes(23, 150)},
   };
+  for (auto& r : records) r.crc = persist::crc32c(r.capture);
+  return records;
 }
 
 TEST(SegmentFormat, BuildParseRoundTripIsCanonical) {
@@ -205,8 +263,9 @@ TEST(SegmentFormat, BuildParseRoundTripIsCanonical) {
     const auto payload = persist::segment_capture_bytes(image, e);
     ASSERT_TRUE(payload.ok()) << payload.error().str();
     EXPECT_EQ(payload.value(), records[i].capture);
+    EXPECT_EQ(e.crc, records[i].crc);
     rebuilt.push_back({e.id, e.name, e.stored_at,
-                       std::string{payload.value()}});
+                       std::string{payload.value()}, e.crc});
   }
   EXPECT_EQ(persist::build_segment(parsed.value().tier, rebuilt), image);
 }
@@ -502,6 +561,64 @@ TEST(PersistEngine, CrashBetweenWalAndCheckpointReplaysIdempotently) {
   auto loaded = engine.load({"vp-x", 1});
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value().serialize(), cc.serialize());
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
+TEST(PersistEngine, WalByteFlipIsCaughtOnLoadAndNeverSealed) {
+  // An acknowledged capture whose WAL bytes rot before a checkpoint must
+  // not be served (load fails its checksum) and must not be sealed into a
+  // segment under a fresh checksum, where it would survive every restart.
+  const std::string dir = scratch_dir("walflip");
+  const ChunkedCapture cc = ChunkedCapture::encode(make_capture(35, 300));
+  const std::string image = cc.serialize();
+  const CaptureId victim{"vp-a", 1};
+  {
+    persist::PersistEngine engine{dir};
+    ASSERT_TRUE(engine.open().ok());
+    ASSERT_TRUE(
+        engine.append(victim, "DEV", TimePoint::from_micros(100), cc).ok());
+    char name[32];
+    std::snprintf(name, sizeof name, "shard-%03zu", engine.shard_of("vp-a"));
+    const fs::path wal = fs::path{dir} / name / "wal.log";
+    std::string bytes;
+    {
+      std::ifstream in{wal, std::ios::binary};
+      bytes.assign(std::istreambuf_iterator<char>{in}, {});
+    }
+    const std::size_t at = bytes.find(image);
+    ASSERT_NE(at, std::string::npos);
+    // Low byte of the first chunk footer's sum: magic, five header words,
+    // the raw flag and the chunk count (53 bytes), then count, min and max.
+    const std::size_t sum_lsb = at + 53 + 12;
+    {
+      std::fstream f{wal, std::ios::binary | std::ios::in | std::ios::out};
+      f.seekp(static_cast<std::streamoff>(sum_lsb));
+      const char flipped = static_cast<char>(bytes[sum_lsb] ^ 0x01);
+      f.write(&flipped, 1);
+    }
+    // The flip still deserializes, just with a different sum.
+    std::string tampered = image;
+    tampered[53 + 12] ^= 0x01;
+    const auto parsed = ChunkedCapture::deserialize(tampered);
+    ASSERT_TRUE(parsed.ok());
+    ASSERT_NE(parsed.value().sum_ma(), cc.sum_ma());
+
+    const auto loaded = engine.load(victim);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.error().code, blab::util::ErrorCode::kUnavailable);
+    EXPECT_NE(loaded.error().message.find("checksum mismatch"),
+              std::string::npos);
+
+    ASSERT_TRUE(engine.checkpoint().ok());
+    EXPECT_FALSE(engine.contains(victim));
+    EXPECT_EQ(engine.stats().segment_flushes, 0u);
+  }
+  persist::PersistEngine engine{dir};
+  ASSERT_TRUE(engine.open().ok());
+  EXPECT_FALSE(engine.contains(victim));
+  EXPECT_EQ(engine.load(victim).error().code,
+            blab::util::ErrorCode::kNotFound);
   std::error_code ec;
   fs::remove_all(dir, ec);
 }

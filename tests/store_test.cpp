@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -114,6 +116,95 @@ TEST(ChunkedCapture, FooterSummariesMatchSequentialScan) {
   EXPECT_EQ(cc.max_ma(), static_cast<double>(hi));
   EXPECT_NEAR(cc.energy_mwh(), original.energy_mwh(),
               1e-6 * std::abs(original.energy_mwh()));
+}
+
+/// The per-window reduction the one-pass encoder replaced: each bucket
+/// scanned on its own, summing in double from 0.0.
+blab::store::Tier reference_tier(const std::vector<float>& samples,
+                                 std::size_t factor, double raw_hz) {
+  blab::store::Tier tier;
+  tier.factor = factor;
+  tier.rate_hz = raw_hz / static_cast<double>(factor);
+  for (std::size_t begin = 0; begin < samples.size(); begin += factor) {
+    const std::size_t end = std::min(begin + factor, samples.size());
+    float lo = samples[begin];
+    float hi = samples[begin];
+    double sum = 0.0;
+    for (std::size_t i = begin; i < end; ++i) {
+      lo = std::min(lo, samples[i]);
+      hi = std::max(hi, samples[i]);
+      sum += static_cast<double>(samples[i]);
+    }
+    tier.mean_ma.push_back(
+        static_cast<float>(sum / static_cast<double>(end - begin)));
+    tier.min_ma.push_back(lo);
+    tier.max_ma.push_back(hi);
+  }
+  return tier;
+}
+
+template <typename T>
+bool same_bits(T a, T b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(ChunkedCapture, OnePassFootersAndTiersMatchPerWindowReference) {
+  // 5 kHz builds two tiers (factors 100 and 5000), 50 Hz one (factor 50),
+  // 1 Hz none. Counts straddle tier and 4096-sample chunk boundaries.
+  for (const double hz : {5000.0, 50.0, 1.0}) {
+    for (const std::size_t n :
+         {1u, 99u, 100u, 101u, 4097u, 5001u, 156'000u}) {
+      std::vector<float> samples = walk_samples(n, n);
+      // Values whose min/max/sum handling is easy to get subtly wrong.
+      if (n > 50) {
+        samples[3] = -0.0f;
+        samples[n / 2] = std::nextafter(0.0f, 1.0f);
+      }
+      const Capture capture{TimePoint::epoch(), hz, 3.85, samples};
+      const ChunkedCapture cc = ChunkedCapture::encode(capture);
+      SCOPED_TRACE(std::to_string(hz) + " Hz, n=" + std::to_string(n));
+
+      const std::size_t chunk = ChunkedCapture::kDefaultChunkSamples;
+      ASSERT_EQ(cc.chunk_count(), (n + chunk - 1) / chunk);
+      for (std::size_t c = 0; c < cc.chunk_count(); ++c) {
+        const std::size_t begin = c * chunk;
+        const std::size_t end = std::min(begin + chunk, n);
+        float lo = samples[begin];
+        float hi = samples[begin];
+        double sum = 0.0;
+        for (std::size_t i = begin; i < end; ++i) {
+          lo = std::min(lo, samples[i]);
+          hi = std::max(hi, samples[i]);
+          sum += static_cast<double>(samples[i]);
+        }
+        const auto& footer = cc.footer(c);
+        EXPECT_EQ(footer.count, end - begin);
+        EXPECT_TRUE(same_bits(footer.min_ma, lo)) << "chunk " << c;
+        EXPECT_TRUE(same_bits(footer.max_ma, hi)) << "chunk " << c;
+        EXPECT_TRUE(same_bits(footer.sum_ma, sum)) << "chunk " << c;
+      }
+
+      std::vector<std::size_t> factors;
+      if (hz == 5000.0) factors = {100, 5000};
+      if (hz == 50.0) factors = {50};
+      ASSERT_EQ(cc.tiers().size(), factors.size());
+      for (std::size_t t = 0; t < factors.size(); ++t) {
+        const blab::store::Tier want = reference_tier(samples, factors[t], hz);
+        const blab::store::Tier& got = cc.tiers()[t];
+        EXPECT_EQ(got.factor, want.factor);
+        EXPECT_TRUE(same_bits(got.rate_hz, want.rate_hz));
+        ASSERT_EQ(got.buckets(), want.buckets());
+        for (std::size_t b = 0; b < want.buckets(); ++b) {
+          ASSERT_TRUE(same_bits(got.mean_ma[b], want.mean_ma[b]))
+              << "tier " << t << " bucket " << b;
+          ASSERT_TRUE(same_bits(got.min_ma[b], want.min_ma[b]))
+              << "tier " << t << " bucket " << b;
+          ASSERT_TRUE(same_bits(got.max_ma[b], want.max_ma[b]))
+              << "tier " << t << " bucket " << b;
+        }
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------------------
@@ -290,6 +381,44 @@ TEST(Codec, DecodeSamplesRejectsHostileCounts) {
   ASSERT_TRUE(decode_samples(bytes, samples.size(), out));
   EXPECT_EQ(out, samples);
   EXPECT_EQ(encode_samples(out.data(), out.size()), bytes);
+}
+
+TEST(Codec, BranchFreeEncoderMatchesPutVarintAtEveryLength) {
+  // Alternating extreme bit patterns and small deltas: every varint length
+  // from 1 to 5 bytes occurs, and the encoder must emit put_varint's bytes.
+  std::vector<std::uint32_t> patterns;
+  for (const std::uint32_t step : {1u, 100u, 20'000u, 2'000'000u,
+                                   200'000'000u}) {
+    for (const std::uint32_t base : {0x00000000u, 0xFFFFFFFFu, 0x7FC00001u}) {
+      patterns.push_back(base);
+      patterns.push_back(base + step);
+      patterns.push_back(base - step);
+    }
+  }
+  std::vector<float> samples;
+  for (const std::uint32_t bits : patterns) {
+    samples.push_back(std::bit_cast<float>(bits));
+  }
+  std::string want;
+  std::vector<std::size_t> ends{0};  // reference size after each sample
+  std::vector<bool> seen(6, false);
+  std::int64_t prev = 0;
+  for (std::size_t i = 0; i < patterns.size(); ++i) {
+    const std::int64_t bits = patterns[i];
+    blab::store::put_varint(
+        want, i == 0 ? static_cast<std::uint64_t>(bits)
+                     : blab::store::zigzag_encode(bits - prev));
+    seen[want.size() - ends.back()] = true;
+    ends.push_back(want.size());
+    prev = bits;
+  }
+  for (std::size_t len = 1; len <= 5; ++len) EXPECT_TRUE(seen[len]) << len;
+  // Every prefix, so the stream ends on each length in turn.
+  for (std::size_t n = 0; n <= samples.size(); ++n) {
+    EXPECT_EQ(blab::store::encode_samples(samples.data(), n),
+              want.substr(0, ends[n]))
+        << n;
+  }
 }
 
 TEST(ChunkedCapture, DeserializeRejectsNonCanonicalHeaderFields) {
