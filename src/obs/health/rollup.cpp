@@ -37,14 +37,12 @@ std::optional<RollupScope> parse_rollup_scope(std::string_view text) {
   return std::nullopt;
 }
 
-void RollupEngine::attach_metrics(obs::MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    scans_ = nullptr;
-    captures_scanned_ = nullptr;
-    return;
-  }
-  scans_ = &registry->counter("blab_rollup_scans_total");
-  captures_scanned_ = &registry->counter("blab_rollup_captures_scanned_total");
+RollupEngine::RollupEngine(store::CaptureStore& store,
+                           obs::MetricsRegistry* metrics)
+    : store_{store} {
+  if (metrics == nullptr) return;
+  scans_ = &metrics->counter("blab_rollup_scans_total");
+  captures_scanned_ = &metrics->counter("blab_rollup_captures_scanned_total");
 }
 
 Rollup RollupEngine::compute(RollupScope scope, util::TimePoint t0,

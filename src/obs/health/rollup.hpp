@@ -85,16 +85,16 @@ struct Rollup {
 
 class RollupEngine {
  public:
-  explicit RollupEngine(store::CaptureStore& store) : store_{store} {}
+  /// `metrics` mirrors scan counters into a registry (blab_rollup_*); null
+  /// leaves the engine detached.
+  explicit RollupEngine(store::CaptureStore& store,
+                        obs::MetricsRegistry* metrics = nullptr);
 
   /// Workspace -> context mapping for vantage grouping and the device-class
   /// breakdown. Without one, every capture lands in "unassigned"/"unknown".
   void set_context_resolver(ContextResolver resolver) {
     resolver_ = std::move(resolver);
   }
-
-  /// Mirror scan counters into a registry (blab_rollup_*). Null-safe.
-  void attach_metrics(obs::MetricsRegistry* registry);
 
   /// One catalog scan over stored_at in [t0, t1), grouped per `scope`.
   Rollup compute(RollupScope scope,

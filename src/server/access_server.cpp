@@ -16,14 +16,16 @@ AccessServer::AccessServer(sim::Simulator& sim, net::Network& net,
       host_{std::move(host)},
       registry_{dns_},
       scheduler_{sim, registry_},
+      capture_store_{{},
+                     store::CaptureStore::kDefaultCacheChunks,
+                     &sim_.metrics(),
+                     &sim_.tracer()},
       testers_{users_, &credits_},
       ssh_key_{net::SshKeyPair::generate("batterylab-access-server")},
       ssh_client_{net, host_, ssh_key_} {
   net_.add_host(host_);
   (void)certs_.issue(sim_.now());
   scheduler_.attach_capture_store(&capture_store_);
-  capture_store_.attach_metrics(&sim_.metrics());
-  capture_store_.attach_tracer(&sim_.tracer());
 }
 
 std::string AccessServer::metrics_text() const {
@@ -35,18 +37,16 @@ void AccessServer::enable_credit_enforcement(CreditPolicy policy) {
   scheduler_.attach_credits(&credits_, policy);
 }
 
-util::Status AccessServer::enable_persistence(
-    const std::string& dir, store::persist::PersistOptions options) {
+util::Status AccessServer::enable_persistence(const std::string& dir) {
   if (persist_ != nullptr) {
     return util::make_error(util::ErrorCode::kAlreadyExists,
                             "persistence already enabled at " +
                                 persist_->dir());
   }
   auto engine =
-      std::make_unique<store::persist::PersistEngine>(dir, options);
+      std::make_unique<store::persist::PersistEngine>(dir, &sim_.metrics());
   if (auto st = engine->open(); !st.ok()) return st;
   persist_ = std::move(engine);
-  persist_->attach_metrics(&sim_.metrics());
   capture_store_.attach_persistence(persist_.get());
   BLAB_INFO("access-server",
             "persistence enabled at " << dir << ": recovered "
@@ -84,8 +84,8 @@ util::Status AccessServer::enable_health() {
     return util::make_error(util::ErrorCode::kAlreadyExists,
                             "health engine already enabled");
   }
-  rollup_ = std::make_unique<health::RollupEngine>(capture_store_);
-  rollup_->attach_metrics(&sim_.metrics());
+  rollup_ = std::make_unique<health::RollupEngine>(capture_store_,
+                                                   &sim_.metrics());
   rollup_->set_context_resolver([this](const std::string& workspace) {
     return resolve_capture_context(workspace);
   });

@@ -58,8 +58,7 @@ class AccessServer {
   /// restart, recovers) the sharded WAL+segment store there and attaches it
   /// to the capture store, so every workspace persisted by a previous
   /// process is immediately listable and queryable again.
-  util::Status enable_persistence(const std::string& dir,
-                                  store::persist::PersistOptions options = {});
+  util::Status enable_persistence(const std::string& dir);
   bool persistence_enabled() const { return persist_ != nullptr; }
   store::persist::PersistEngine* persist_engine() { return persist_.get(); }
 

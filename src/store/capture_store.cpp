@@ -16,6 +16,19 @@ util::Error not_found(const CaptureId& id) {
                           "no capture " + id.str());
 }
 
+/// Sorted union of warm keys with the persist engine's. Warm records are
+/// also persisted, so the union is a sorted merge.
+template <typename T>
+std::vector<T> merge_cold(const std::vector<T>& warm,
+                          const std::vector<T>& cold) {
+  std::vector<T> merged;
+  merged.reserve(warm.size() + cold.size());
+  std::merge(warm.begin(), warm.end(), cold.begin(), cold.end(),
+             std::back_inserter(merged));
+  merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
+  return merged;
+}
+
 }  // namespace
 
 const char* capture_source_name(CaptureSource source) {
@@ -37,12 +50,11 @@ void CaptureStore::sync_record_gauge() {
   }
 }
 
-void CaptureStore::attach_metrics(obs::MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    metrics_ = Metrics{};
-    return;
-  }
-  obs::MetricsRegistry& m = *registry;
+CaptureStore::CaptureStore(RetentionPolicy policy, std::size_t cache_chunks,
+                           obs::MetricsRegistry* metrics, obs::Tracer* tracer)
+    : policy_{policy}, cache_capacity_{cache_chunks}, tracer_{tracer} {
+  if (metrics == nullptr) return;
+  obs::MetricsRegistry& m = *metrics;
   metrics_.appended = &m.counter("blab_store_captures_appended_total");
   metrics_.chunks_written = &m.counter("blab_store_chunks_written_total");
   metrics_.bytes_raw = &m.counter("blab_store_bytes_raw_total");
@@ -54,19 +66,6 @@ void CaptureStore::attach_metrics(obs::MetricsRegistry* registry) {
   metrics_.record_purges = &m.counter("blab_store_record_purges_total");
   metrics_.tier_queries = &m.counter("blab_store_tier_queries_total");
   metrics_.records = &m.gauge("blab_store_records");
-  // A store attached mid-life publishes what it has accumulated so far, so
-  // the registry never under-reports relative to StoreStats.
-  bump(metrics_.appended, stats_.captures_appended);
-  bump(metrics_.chunks_written, stats_.chunks_written);
-  bump(metrics_.bytes_raw, stats_.bytes_raw);
-  bump(metrics_.bytes_encoded, stats_.bytes_encoded);
-  bump(metrics_.decodes, stats_.raw_chunk_decodes);
-  bump(metrics_.cache_hits, stats_.cache_hits);
-  bump(metrics_.cache_evictions, stats_.cache_evictions);
-  bump(metrics_.raw_purges, stats_.raw_purges);
-  bump(metrics_.record_purges, stats_.record_purges);
-  bump(metrics_.tier_queries, stats_.tier_queries);
-  sync_record_gauge();
 }
 
 CaptureId CaptureStore::append(const std::string& workspace, std::string name,
@@ -143,16 +142,8 @@ std::vector<CaptureId> CaptureStore::list(const std::string& workspace) const {
   for (const auto& [id, record] : records_) {
     if (id.workspace == workspace) ids.push_back(id);
   }
-  if (persist_ != nullptr) {
-    // Warm records are also persisted, so the union is a sorted merge.
-    std::vector<CaptureId> merged;
-    const std::vector<CaptureId> cold = persist_->list(workspace);
-    std::merge(ids.begin(), ids.end(), cold.begin(), cold.end(),
-               std::back_inserter(merged));
-    merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-    return merged;
-  }
-  return ids;
+  if (persist_ == nullptr) return ids;
+  return merge_cold(ids, persist_->list(workspace));
 }
 
 std::vector<std::string> CaptureStore::workspaces() const {
@@ -162,19 +153,10 @@ std::vector<std::string> CaptureStore::workspaces() const {
       names.push_back(id.workspace);
     }
   }
-  // CaptureId ordering is (workspace, seq), so names is already sorted but
-  // may repeat across interleaved appends only if sequences interleave —
-  // they cannot, map order guarantees grouping. Dedup defensively anyway.
-  names.erase(std::unique(names.begin(), names.end()), names.end());
-  if (persist_ != nullptr) {
-    std::vector<std::string> merged;
-    const std::vector<std::string> cold = persist_->workspaces();
-    std::merge(names.begin(), names.end(), cold.begin(), cold.end(),
-               std::back_inserter(merged));
-    merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-    return merged;
-  }
-  return names;
+  // CaptureId orders by (workspace, seq), so map order groups each
+  // workspace's records: `names` is already sorted and unique.
+  if (persist_ == nullptr) return names;
+  return merge_cold(names, persist_->workspaces());
 }
 
 util::Result<CaptureSource> CaptureStore::source_of(
@@ -212,7 +194,6 @@ const CaptureStore::Record* CaptureStore::warm_record(const CaptureId& id) {
   record.name = info->name;
   record.stored_at = info->stored_at;
   record.capture = std::move(cc).take();
-  ++stats_.disk_loads;
   const auto [it, inserted] = records_.emplace(id, std::move(record));
   sync_record_gauge();
   return &it->second;
@@ -445,21 +426,13 @@ std::vector<CaptureId> CaptureStore::catalog(util::TimePoint t0,
   for (const auto& [id, record] : records_) {
     if (record.stored_at >= t0 && record.stored_at < t1) ids.push_back(id);
   }
-  if (persist_ != nullptr) {
-    // Warm records are also persisted, so the union is a sorted merge.
-    std::vector<CaptureId> cold;
-    persist_->scan_catalog(
-        t0, t1,
-        [&cold](const persist::PersistEngine::EntryInfo& entry) {
-          cold.push_back(entry.id);
-        });
-    std::vector<CaptureId> merged;
-    std::merge(ids.begin(), ids.end(), cold.begin(), cold.end(),
-               std::back_inserter(merged));
-    merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-    return merged;
-  }
-  return ids;
+  if (persist_ == nullptr) return ids;
+  std::vector<CaptureId> cold;
+  persist_->scan_catalog(
+      t0, t1, [&cold](const persist::PersistEngine::EntryInfo& entry) {
+        cold.push_back(entry.id);
+      });
+  return merge_cold(ids, cold);
 }
 
 std::size_t CaptureStore::run_retention(util::TimePoint now) {
@@ -488,7 +461,7 @@ std::size_t CaptureStore::run_retention(util::TimePoint now) {
     // The on-disk copy ages by the same policy: expired segments records are
     // erased or demoted to the summary stream, segments are compacted, and
     // the freed bytes feed blab_store_retention_bytes_reclaimed_total.
-    stats_.retention_bytes_reclaimed += persist_->run_retention(now, policy_);
+    (void)persist_->run_retention(now, policy_);
   }
   sync_record_gauge();
   return touched;

@@ -91,8 +91,6 @@ struct StoreStats {
   std::uint64_t raw_purges = 0;     ///< records whose raw tier was dropped
   std::uint64_t record_purges = 0;  ///< records dropped entirely
   std::uint64_t tier_queries = 0;   ///< queries served from tiers/footers
-  std::uint64_t disk_loads = 0;     ///< cold records warmed from persistence
-  std::uint64_t retention_bytes_reclaimed = 0;  ///< on-disk bytes freed
 };
 
 /// Where a capture's data currently lives, for the REST `captures_source`
@@ -105,9 +103,17 @@ class CaptureStore {
  public:
   static constexpr std::size_t kDefaultCacheChunks = 64;
 
+  /// `metrics` mirrors StoreStats into a registry (normally the owning
+  /// deployment's Simulator registry); `tracer` gives every append a
+  /// `store/append_capture` span (joining the caller's trace, e.g. a job's
+  /// stop_monitor) annotated with chunk and byte counts. Null leaves the
+  /// store detached. Both must outlive the store's last mutation — true for
+  /// deployments, where the Simulator is constructed first and destroyed
+  /// last.
   explicit CaptureStore(RetentionPolicy policy = {},
-                        std::size_t cache_chunks = kDefaultCacheChunks)
-      : policy_{policy}, cache_capacity_{cache_chunks} {}
+                        std::size_t cache_chunks = kDefaultCacheChunks,
+                        obs::MetricsRegistry* metrics = nullptr,
+                        obs::Tracer* tracer = nullptr);
 
   // -- ingest ------------------------------------------------------------
   /// Encode and archive a capture into `workspace`. `now` stamps the record
@@ -165,19 +171,9 @@ class CaptureStore {
   /// purge); summaries persist until their own TTL.
   std::size_t drop_workspace_raw(const std::string& workspace);
 
+  /// Store-side counters. Cold loads and reclaimed disk bytes are counted
+  /// once, by the persist engine (PersistStats).
   const StoreStats& stats() const { return stats_; }
-
-  /// Mirror StoreStats into a metrics registry (normally the owning
-  /// deployment's Simulator registry). Null-safe: detached stores keep
-  /// updating only their local StoreStats. The registry must outlive the
-  /// store's last mutation — true for deployments, where the Simulator is
-  /// constructed first and destroyed last.
-  void attach_metrics(obs::MetricsRegistry* registry);
-
-  /// Span coverage for archival: appends open a `store/append_capture` span
-  /// (joining the caller's trace — e.g. a job's stop_monitor) annotated with
-  /// chunk and byte counts. Null-safe like attach_metrics.
-  void attach_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
   /// Attach an opened durability engine: appends archive through to its WAL,
   /// cold queries load transparently from its segments, retention reclaims
@@ -203,7 +199,7 @@ class CaptureStore {
     std::vector<float> samples;
   };
 
-  /// Cached registry instruments; all null until attach_metrics().
+  /// Cached registry instruments; all null for a detached store.
   struct Metrics {
     obs::Counter* appended = nullptr;
     obs::Counter* chunks_written = nullptr;

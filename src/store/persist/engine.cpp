@@ -16,6 +16,14 @@ namespace fs = std::filesystem;
 
 namespace {
 
+/// Shard directories of a new store (an existing store's manifest wins).
+constexpr std::size_t kShards = 4;
+/// Virtual points per shard on the consistent-hash ring.
+constexpr std::size_t kRingPoints = 8;
+/// A shard WAL larger than this triggers an automatic checkpoint on the next
+/// append. Byte-driven, so it stays deterministic under DST.
+constexpr std::uint64_t kWalCheckpointBytes = 1u << 20;
+
 util::Error io_error(const std::string& what) {
   return util::make_error(util::ErrorCode::kUnavailable, what);
 }
@@ -118,10 +126,27 @@ std::optional<std::uint64_t> segment_number_of(std::string_view name) {
 
 }  // namespace
 
-PersistEngine::PersistEngine(std::string dir, PersistOptions options)
-    : dir_{std::move(dir)}, options_{options} {
-  if (options_.shards == 0) options_.shards = 1;
-  if (options_.ring_points == 0) options_.ring_points = 1;
+PersistEngine::PersistEngine(std::string dir, obs::MetricsRegistry* metrics)
+    : dir_{std::move(dir)} {
+  if (metrics == nullptr) return;
+  obs::MetricsRegistry& m = *metrics;
+  metrics_.wal_appends = &m.counter("blab_persist_wal_appends_total");
+  metrics_.wal_bytes = &m.counter("blab_persist_wal_bytes_total");
+  metrics_.segment_flushes = &m.counter("blab_persist_segment_flushes_total");
+  metrics_.segment_bytes = &m.counter("blab_persist_segment_bytes_total");
+  for (std::size_t c = 0; c < kCheckpointCauses; ++c) {
+    metrics_.checkpoints[c] = &m.counter(
+        "blab_persist_checkpoints_total",
+        {{"cause", checkpoint_cause_name(static_cast<CheckpointCause>(c))}});
+  }
+  metrics_.compactions = &m.counter("blab_persist_compactions_total");
+  metrics_.compaction_bytes = &m.counter("blab_persist_compaction_bytes_total");
+  metrics_.recovered = &m.counter("blab_persist_recovered_records_total");
+  metrics_.torn_tail_bytes = &m.counter("blab_persist_torn_tail_bytes_total");
+  metrics_.disk_loads = &m.counter("blab_persist_disk_loads_total");
+  metrics_.reclaimed = &m.counter("blab_store_retention_bytes_reclaimed_total");
+  metrics_.recovery_ms = &m.gauge("blab_persist_recovery_ms");
+  metrics_.disk_entries = &m.gauge("blab_persist_disk_entries");
 }
 
 PersistEngine::~PersistEngine() {
@@ -143,45 +168,6 @@ void PersistEngine::sync_gauges() {
   if (metrics_.recovery_ms != nullptr) {
     metrics_.recovery_ms->set(stats_.recovery_ms);
   }
-}
-
-void PersistEngine::attach_metrics(obs::MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    metrics_ = Metrics{};
-    return;
-  }
-  obs::MetricsRegistry& m = *registry;
-  metrics_.wal_appends = &m.counter("blab_persist_wal_appends_total");
-  metrics_.wal_bytes = &m.counter("blab_persist_wal_bytes_total");
-  metrics_.segment_flushes = &m.counter("blab_persist_segment_flushes_total");
-  metrics_.segment_bytes = &m.counter("blab_persist_segment_bytes_total");
-  for (std::size_t c = 0; c < kCheckpointCauses; ++c) {
-    metrics_.checkpoints[c] = &m.counter(
-        "blab_persist_checkpoints_total",
-        {{"cause", checkpoint_cause_name(static_cast<CheckpointCause>(c))}});
-  }
-  metrics_.compactions = &m.counter("blab_persist_compactions_total");
-  metrics_.compaction_bytes = &m.counter("blab_persist_compaction_bytes_total");
-  metrics_.recovered = &m.counter("blab_persist_recovered_records_total");
-  metrics_.torn_tail_bytes = &m.counter("blab_persist_torn_tail_bytes_total");
-  metrics_.disk_loads = &m.counter("blab_persist_disk_loads_total");
-  metrics_.reclaimed = &m.counter("blab_store_retention_bytes_reclaimed_total");
-  metrics_.recovery_ms = &m.gauge("blab_persist_recovery_ms");
-  metrics_.disk_entries = &m.gauge("blab_persist_disk_entries");
-  bump(metrics_.wal_appends, stats_.wal_appends);
-  bump(metrics_.wal_bytes, stats_.wal_bytes);
-  bump(metrics_.segment_flushes, stats_.segment_flushes);
-  bump(metrics_.segment_bytes, stats_.segment_bytes);
-  for (std::size_t c = 0; c < kCheckpointCauses; ++c) {
-    bump(metrics_.checkpoints[c], stats_.checkpoints_by_cause[c]);
-  }
-  bump(metrics_.compactions, stats_.compactions);
-  bump(metrics_.compaction_bytes, stats_.compaction_bytes);
-  bump(metrics_.recovered, stats_.recovered_records);
-  bump(metrics_.torn_tail_bytes, stats_.torn_tail_bytes);
-  bump(metrics_.disk_loads, stats_.disk_loads);
-  bump(metrics_.reclaimed, stats_.retention_bytes_reclaimed);
-  sync_gauges();
 }
 
 std::string PersistEngine::shard_path(const Shard& shard) const {
@@ -212,9 +198,9 @@ std::uint64_t ring_hash(std::string_view key) {
 
 void PersistEngine::build_ring() {
   ring_.clear();
-  ring_.reserve(shards_.size() * options_.ring_points);
+  ring_.reserve(shards_.size() * kRingPoints);
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    for (std::size_t v = 0; v < options_.ring_points; ++v) {
+    for (std::size_t v = 0; v < kRingPoints; ++v) {
       const std::string label =
           shards_[s].name + "#" + std::to_string(v);
       ring_.emplace_back(ring_hash(label), s);
@@ -246,7 +232,7 @@ util::Status PersistEngine::open() {
   if (auto st = recover_manifest(manifest); !st.ok()) return st;
 
   const std::size_t count =
-      manifest.shards.empty() ? options_.shards : manifest.shards.size();
+      manifest.shards.empty() ? kShards : manifest.shards.size();
   shards_.resize(count);
   for (std::size_t i = 0; i < count; ++i) {
     shards_[i].name = shard_dir_name(i);
@@ -391,54 +377,22 @@ util::Status PersistEngine::recover_shard(
     if (ec) return io_error("cannot truncate torn tail of " + path);
   }
   for (WalRecord& record : replay.records) {
-    next_seq_ = std::max(next_seq_, record.id.seq + 1);
-    switch (record.op) {
-      case WalOp::kAppend: {
-        if (index_.contains(record.id)) break;
-        auto cc = ChunkedCapture::deserialize(record.capture);
-        if (!cc.ok()) {
-          BLAB_WARN("persist", "skipping unreadable WAL record "
-                                   << record.id.str() << ": "
-                                   << cc.error().str());
-          break;
-        }
-        Entry entry;
-        entry.name = std::move(record.name);
-        entry.stored_at = record.stored_at;
-        entry.raw_dropped = !cc.value().raw_available();
-        entry.shard = shard_index;
-        entry.offset = record.capture_offset;
-        entry.length = record.capture.size();
-        entry.crc = crc32c(record.capture);
-        index_.emplace(std::move(record.id), std::move(entry));
-        break;
+    bool raw_dropped = false;
+    if (record.op == WalOp::kAppend && !index_.contains(record.id)) {
+      // A frame that passed its CRC is still input from disk: bytes the
+      // codec rejects never enter the index, though their sequence stays
+      // spent.
+      auto cc = ChunkedCapture::deserialize(record.capture);
+      if (!cc.ok()) {
+        BLAB_WARN("persist", "skipping unreadable WAL record "
+                                 << record.id.str() << ": "
+                                 << cc.error().str());
+        next_seq_ = std::max(next_seq_, record.id.seq + 1);
+        continue;
       }
-      case WalOp::kDropRaw: {
-        const auto it = index_.find(record.id);
-        if (it == index_.end() || it->second.raw_dropped) break;
-        it->second.raw_dropped = true;
-        if (!it->second.segment.empty()) {
-          const auto seg = shard.segments.find(it->second.segment);
-          if (seg != shard.segments.end() && seg->second.tier == kTierRaw) {
-            seg->second.dirty = true;
-          }
-        }
-        break;
-      }
-      case WalOp::kErase: {
-        const auto it = index_.find(record.id);
-        if (it == index_.end()) break;
-        if (!it->second.segment.empty()) {
-          const auto seg = shard.segments.find(it->second.segment);
-          if (seg != shard.segments.end()) {
-            seg->second.dirty = true;
-            if (seg->second.live_count > 0) --seg->second.live_count;
-          }
-        }
-        index_.erase(it);
-        break;
-      }
+      raw_dropped = !cc.value().raw_available();
     }
+    apply(shard_index, record, raw_dropped);
   }
   shard.wal_size = replay.clean_bytes;
   return util::Status::ok_status();
@@ -471,6 +425,43 @@ util::Status PersistEngine::wal_write(Shard& shard, const WalRecord& record) {
   return util::Status::ok_status();
 }
 
+void PersistEngine::apply(std::size_t shard_index, WalRecord& record,
+                          bool raw_dropped) {
+  next_seq_ = std::max(next_seq_, record.id.seq + 1);
+  if (record.op == WalOp::kAppend) {
+    if (index_.contains(record.id)) return;
+    Entry entry;
+    entry.name = std::move(record.name);
+    entry.stored_at = record.stored_at;
+    entry.raw_dropped = raw_dropped;
+    entry.shard = shard_index;
+    entry.offset = record.capture_offset;
+    entry.length = record.capture.size();
+    entry.crc = crc32c(record.capture);
+    index_.emplace(std::move(record.id), std::move(entry));
+  } else {
+    const auto it = index_.find(record.id);
+    if (it == index_.end()) return;
+    const bool erase = record.op == WalOp::kErase;
+    if (!erase && it->second.raw_dropped) return;
+    if (!it->second.segment.empty()) {
+      Shard& shard = shards_[it->second.shard];
+      const auto seg = shard.segments.find(it->second.segment);
+      if (seg != shard.segments.end() &&
+          (erase || seg->second.tier == kTierRaw)) {
+        seg->second.dirty = true;
+        if (erase && seg->second.live_count > 0) --seg->second.live_count;
+      }
+    }
+    if (erase) {
+      index_.erase(it);
+    } else {
+      it->second.raw_dropped = true;
+    }
+  }
+  sync_gauges();
+}
+
 util::Status PersistEngine::append(const CaptureId& id,
                                    const std::string& name,
                                    util::TimePoint stored_at,
@@ -478,6 +469,10 @@ util::Status PersistEngine::append(const CaptureId& id,
   if (!opened_) {
     return util::make_error(util::ErrorCode::kFailedPrecondition,
                             "persist engine not opened");
+  }
+  if (index_.contains(id)) {
+    return util::make_error(util::ErrorCode::kAlreadyExists,
+                            "capture " + id.str() + " already persisted");
   }
   const std::size_t shard_index = shard_of(id.workspace);
   Shard& shard = shards_[shard_index];
@@ -488,71 +483,40 @@ util::Status PersistEngine::append(const CaptureId& id,
   record.stored_at = stored_at;
   record.capture = cc.serialize();
   if (auto st = wal_write(shard, record); !st.ok()) return st;
-
-  Entry entry;
-  entry.name = name;
-  entry.stored_at = stored_at;
-  entry.raw_dropped = !cc.raw_available();
-  entry.shard = shard_index;
   // The capture bytes are the frame's final field.
-  entry.offset = shard.wal_size - record.capture.size();
-  entry.length = record.capture.size();
-  entry.crc = crc32c(record.capture);
-  index_[id] = std::move(entry);
-  next_seq_ = std::max(next_seq_, id.seq + 1);
-  sync_gauges();
-  if (shard.wal_size > options_.wal_checkpoint_bytes) {
+  record.capture_offset = shard.wal_size - record.capture.size();
+  apply(shard_index, record, !cc.raw_available());
+  if (shard.wal_size > kWalCheckpointBytes) {
     return checkpoint(CheckpointCause::kBytes);
   }
   return util::Status::ok_status();
 }
 
-util::Status PersistEngine::note_drop_raw(const CaptureId& id) {
+util::Status PersistEngine::journal(WalOp op, const CaptureId& id) {
   if (!opened_) {
     return util::make_error(util::ErrorCode::kFailedPrecondition,
                             "persist engine not opened");
   }
   const auto it = index_.find(id);
-  if (it == index_.end() || it->second.raw_dropped) {
+  if (it == index_.end() ||
+      (op == WalOp::kDropRaw && it->second.raw_dropped)) {
     return util::Status::ok_status();
   }
   WalRecord record;
-  record.op = WalOp::kDropRaw;
+  record.op = op;
   record.id = id;
-  Shard& shard = shards_[it->second.shard];
-  if (auto st = wal_write(shard, record); !st.ok()) return st;
-  it->second.raw_dropped = true;
-  if (!it->second.segment.empty()) {
-    const auto seg = shard.segments.find(it->second.segment);
-    if (seg != shard.segments.end() && seg->second.tier == kTierRaw) {
-      seg->second.dirty = true;
-    }
-  }
+  const std::size_t shard_index = it->second.shard;
+  if (auto st = wal_write(shards_[shard_index], record); !st.ok()) return st;
+  apply(shard_index, record, false);
   return util::Status::ok_status();
 }
 
+util::Status PersistEngine::note_drop_raw(const CaptureId& id) {
+  return journal(WalOp::kDropRaw, id);
+}
+
 util::Status PersistEngine::note_erase(const CaptureId& id) {
-  if (!opened_) {
-    return util::make_error(util::ErrorCode::kFailedPrecondition,
-                            "persist engine not opened");
-  }
-  const auto it = index_.find(id);
-  if (it == index_.end()) return util::Status::ok_status();
-  WalRecord record;
-  record.op = WalOp::kErase;
-  record.id = id;
-  Shard& shard = shards_[it->second.shard];
-  if (auto st = wal_write(shard, record); !st.ok()) return st;
-  if (!it->second.segment.empty()) {
-    const auto seg = shard.segments.find(it->second.segment);
-    if (seg != shard.segments.end()) {
-      seg->second.dirty = true;
-      if (seg->second.live_count > 0) --seg->second.live_count;
-    }
-  }
-  index_.erase(it);
-  sync_gauges();
-  return util::Status::ok_status();
+  return journal(WalOp::kErase, id);
 }
 
 util::Status PersistEngine::checkpoint_shard(std::size_t shard_index) {
@@ -829,16 +793,6 @@ std::optional<PersistEngine::EntryInfo> PersistEngine::info(
   if (it == index_.end()) return std::nullopt;
   return EntryInfo{id, it->second.name, it->second.stored_at,
                    it->second.raw_dropped};
-}
-
-std::vector<PersistEngine::EntryInfo> PersistEngine::entries() const {
-  std::vector<EntryInfo> out;
-  out.reserve(index_.size());
-  for (const auto& [id, entry] : index_) {
-    out.push_back(EntryInfo{id, entry.name, entry.stored_at,
-                            entry.raw_dropped});
-  }
-  return out;
 }
 
 std::vector<CaptureId> PersistEngine::list(

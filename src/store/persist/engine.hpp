@@ -50,18 +50,7 @@ class MetricsRegistry;
 
 namespace blab::store::persist {
 
-struct PersistOptions {
-  /// Shard directories (fixed at store creation; an existing store's
-  /// manifest wins over this value on open).
-  std::size_t shards = 4;
-  /// Virtual points per shard on the consistent-hash ring.
-  std::size_t ring_points = 8;
-  /// A shard WAL larger than this triggers an automatic checkpoint on the
-  /// next append. Byte-driven, so it stays deterministic under DST.
-  std::size_t wal_checkpoint_bytes = 1u << 20;
-};
-
-/// Why a checkpoint ran: the shard WAL crossed wal_checkpoint_bytes, the
+/// Why a checkpoint ran: the shard WAL crossed the fixed byte threshold, the
 /// maintenance tier's sim-time cadence fired, retention folded its drops,
 /// or an operator/test asked for one directly. Labels the
 /// blab_persist_checkpoints_total metric.
@@ -93,7 +82,10 @@ struct PersistStats {
 
 class PersistEngine {
  public:
-  explicit PersistEngine(std::string dir, PersistOptions options = {});
+  /// `metrics` mirrors PersistStats into a registry (blab_persist_*); null
+  /// leaves the engine detached. The registry must outlive the engine.
+  explicit PersistEngine(std::string dir,
+                         obs::MetricsRegistry* metrics = nullptr);
   ~PersistEngine();
 
   PersistEngine(const PersistEngine&) = delete;
@@ -109,7 +101,8 @@ class PersistEngine {
   std::size_t shard_of(std::string_view workspace) const;
 
   // -- write path ---------------------------------------------------------
-  /// Journal a new capture. Durable (journaled + flushed) on ok().
+  /// Journal a new capture. Durable (journaled + flushed) on ok(). An id
+  /// the engine already holds fails with kAlreadyExists and journals nothing.
   util::Status append(const CaptureId& id, const std::string& name,
                       util::TimePoint stored_at, const ChunkedCapture& cc);
   /// Journal a raw-tier purge / whole-record erase for an id already known
@@ -138,8 +131,6 @@ class PersistEngine {
   };
   bool contains(const CaptureId& id) const;
   std::optional<EntryInfo> info(const CaptureId& id) const;
-  /// All entries, ascending by id.
-  std::vector<EntryInfo> entries() const;
   /// Visit every entry whose stored_at falls in [t0, t1), ascending by id —
   /// the rollup engine's catalog-iteration surface. Touches only the index,
   /// never capture payloads.
@@ -160,9 +151,6 @@ class PersistEngine {
   std::uint64_t disk_usage_bytes() const;
 
   const PersistStats& stats() const { return stats_; }
-  /// Mirror PersistStats into a registry (blab_persist_*). Null-safe, same
-  /// contract as CaptureStore::attach_metrics.
-  void attach_metrics(obs::MetricsRegistry* registry);
 
  private:
   struct SegmentMeta {
@@ -208,6 +196,14 @@ class PersistEngine {
   std::string wal_path(const Shard& shard) const;
   util::Status ensure_wal(Shard& shard);
   util::Status wal_write(Shard& shard, const WalRecord& record);
+  /// The one place a WalOp changes the index (entry, checksum, segment
+  /// dirty/live counts, next_seq_): live operations call it once their
+  /// frame is durable, recovery for each frame it replays. For kAppend,
+  /// `record.capture_offset` locates the bytes in the shard WAL and an id
+  /// already indexed is left as it is.
+  void apply(std::size_t shard_index, WalRecord& record, bool raw_dropped);
+  /// Journal a kDropRaw/kErase for an indexed id, then apply it.
+  util::Status journal(WalOp op, const CaptureId& id);
   util::Status recover_manifest(Manifest& manifest);
   util::Status recover_shard(std::size_t shard_index,
                              const std::vector<ManifestSegment>& segments);
@@ -218,7 +214,6 @@ class PersistEngine {
   void sync_gauges();
 
   std::string dir_;
-  PersistOptions options_;
   bool opened_ = false;
   std::uint64_t next_seq_ = 1;
   std::uint64_t manifest_version_ = 0;

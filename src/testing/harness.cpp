@@ -25,6 +25,13 @@ namespace {
 using util::Duration;
 using util::TimePoint;
 
+/// Sim-time cadence of the health-evaluation maintenance job (scheduled
+/// checkpoints run at twice it). Scenario horizons are tens of simulated
+/// seconds (3-6 steps of 2-5 s), so every scenario gets several evaluations.
+constexpr Duration kHealthPeriod = Duration::seconds(2);
+/// Total attempts per retry chain when RunOptions::retry_failed_jobs is on.
+constexpr std::uint32_t kMaxAttempts = 2;
+
 device::DeviceSpec make_device_spec(const DeviceGenSpec& gen) {
   switch (gen.kind) {
     case DeviceKind::kIphone: return device::DeviceSpec::iphone(gen.serial);
@@ -450,9 +457,9 @@ ScenarioResult run_scenario(const ScenarioSpec& spec,
           {"health", "enable_health failed: " + st.str()});
       return result;
     }
-    (void)server.schedule_health_evaluations(options.health_period);
+    (void)server.schedule_health_evaluations(kHealthPeriod);
     if (server.persistence_enabled()) {
-      (void)server.schedule_persist_checkpoints(options.health_period * 2.0);
+      (void)server.schedule_persist_checkpoints(kHealthPeriod * 2.0);
     }
   }
 
@@ -525,7 +532,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec,
         const bool terminal_bad = job->state == server::JobState::kFailed ||
                                   job->state == server::JobState::kAborted;
         if (terminal_bad && !job->retried_by.valid() &&
-            job->attempt < options.max_attempts) {
+            job->attempt < kMaxAttempts) {
           to_retry.push_back(job->id);
         }
       }

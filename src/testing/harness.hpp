@@ -83,24 +83,19 @@ struct RunOptions {
   /// snapshot pre-crash query answers.
   std::function<void(server::AccessServer&)> before_teardown;
   /// Retry terminally failed/aborted jobs at each step end via
-  /// Scheduler::resubmit, up to max_attempts total attempts per chain. The
+  /// Scheduler::resubmit, up to two attempts in total per chain. The
   /// resubmitted job gets a fresh trace with a "retry_of" link back to the
   /// predecessor (validated by the retry-chain oracle). Off by default — the
   /// extra submissions change the event stream, so the pinned golden digests
   /// only cover runs without it.
   bool retry_failed_jobs = false;
-  std::uint32_t max_attempts = 2;
   /// Turn on the fleet health engine after onboarding: GET /rollup and
   /// GET /health become live, a recurring maintenance job evaluates every
-  /// SLO each `health_period`, and (when persistence is on) scheduled
+  /// SLO every 2 simulated seconds, and (when persistence is on) scheduled
   /// checkpoints fold WALs at twice that cadence. The recurring jobs change
   /// the event stream, so the pinned golden digests only cover runs without
   /// it; the rollup-accuracy oracle only runs with it.
   bool enable_health = false;
-  /// Sim-time cadence of the health-evaluation maintenance job. Scenario
-  /// horizons are tens of simulated seconds (3-6 steps of 2-5 s), so the
-  /// default is short enough that every scenario gets several evaluations.
-  util::Duration health_period = util::Duration::seconds(2);
 };
 
 /// Run one fully-specified scenario through a fresh deployment.

@@ -149,7 +149,7 @@ CrashRecoveryReport check_crash_recovery(std::uint64_t seed,
   if (rng.chance(0.7)) {
     report.torn_tail = true;
     const std::size_t shard = static_cast<std::size_t>(
-        rng.uniform_int(0, 3));  // default PersistOptions has 4 shards
+        rng.uniform_int(0, 3));  // a new store has 4 shards
     append_wal_garbage(dir, shard, rng);
   }
 

@@ -30,88 +30,56 @@ std::string LogRecord::flat() const {
   return out;
 }
 
-Logger::Logger() {
-  auto entry = std::make_shared<SinkEntry>();
-  entry->legacy = [](LogLevel level, std::string_view component,
-                     std::string_view msg) {
-    std::cerr << "[" << log_level_name(level) << "] " << component << ": "
-              << msg << "\n";
-  };
-  sink_ = std::move(entry);
-}
+Logger::Logger()
+    : sink_{std::make_shared<const Sink>([](const LogRecord& rec) {
+        std::cerr << "[" << log_level_name(rec.level) << "] "
+                  << rec.component << ": " << rec.flat() << "\n";
+      })} {}
 
 Logger& Logger::global() {
   static Logger logger;
   return logger;
 }
 
-std::shared_ptr<const Logger::SinkEntry> Logger::entry() const {
+std::shared_ptr<const Logger::Sink> Logger::sink() const {
   std::lock_guard<std::mutex> lock{mu_};
   return sink_;
 }
 
-std::shared_ptr<const Logger::SinkEntry> Logger::swap_entry(
-    std::shared_ptr<const SinkEntry> next) {
+std::shared_ptr<const Logger::Sink> Logger::swap_sink(
+    std::shared_ptr<const Sink> next) {
   std::lock_guard<std::mutex> lock{mu_};
   std::swap(sink_, next);
   return next;
 }
 
-LogSink Logger::set_sink(LogSink sink) {
-  auto entry = std::make_shared<SinkEntry>();
-  entry->legacy = std::move(sink);
-  auto previous = swap_entry(std::move(entry));
-  return previous != nullptr ? previous->legacy : LogSink{};
-}
-
-void Logger::set_record_sink(RecordSink sink) {
-  auto entry = std::make_shared<SinkEntry>();
-  entry->record = std::move(sink);
-  swap_entry(std::move(entry));
-}
-
 void Logger::log(LogLevel level, std::string_view component,
                  std::string_view msg) {
   if (!enabled(level)) return;
-  auto sink = entry();
-  if (sink == nullptr) return;
-  if (sink->record) {
-    LogRecord rec{level, component, msg, nullptr};
-    sink->record(rec);
-  } else if (sink->legacy) {
-    sink->legacy(level, component, msg);
-  }
+  (*sink())({level, component, msg, nullptr});
 }
 
 void Logger::log(LogLevel level, std::string_view component,
                  std::string_view msg, const LogFields& fields) {
   if (!enabled(level)) return;
-  auto sink = entry();
-  if (sink == nullptr) return;
-  LogRecord rec{level, component, msg, &fields};
-  if (sink->record) {
-    sink->record(rec);
-  } else if (sink->legacy) {
-    sink->legacy(level, component, rec.flat());
-  }
+  (*sink())({level, component, msg, &fields});
 }
 
 LogCapture::LogCapture() : previous_level_{Logger::global().level()} {
   Logger::global().set_level(LogLevel::kDebug);
-  auto entry = std::make_shared<Logger::SinkEntry>();
-  entry->record = [this](const LogRecord& rec) {
-    Entry e;
-    e.line = std::string{log_level_name(rec.level)} + " " +
-             std::string{rec.component} + ": " + rec.flat();
-    if (rec.fields != nullptr) e.fields = *rec.fields;
-    std::lock_guard<std::mutex> lock{mu_};
-    entries_.push_back(std::move(e));
-  };
-  previous_ = Logger::global().swap_entry(std::move(entry));
+  previous_ = Logger::global().swap_sink(
+      std::make_shared<const Logger::Sink>([this](const LogRecord& rec) {
+        Entry e;
+        e.line = std::string{log_level_name(rec.level)} + " " +
+                 std::string{rec.component} + ": " + rec.flat();
+        if (rec.fields != nullptr) e.fields = *rec.fields;
+        std::lock_guard<std::mutex> lock{mu_};
+        entries_.push_back(std::move(e));
+      }));
 }
 
 LogCapture::~LogCapture() {
-  Logger::global().swap_entry(previous_);
+  Logger::global().swap_sink(previous_);
   Logger::global().set_level(previous_level_);
 }
 

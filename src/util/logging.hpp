@@ -1,20 +1,20 @@
 // Minimal structured logging.
 //
 // The platform components (access server, controller, monitor) log through a
-// global sink that tests can capture and benches can silence. Two forms:
+// global sink: stderr by default, or a LogCapture in tests. Two forms:
 //
 //   BLAB_INFO("scheduler", "job finished id=" << id);           // string
 //   BLAB_INFO_KV("scheduler", "job_finished", {"job", id});     // structured
 //
 // The structured form carries typed key=value fields into the sink so tests
-// can match on fields instead of substrings; sinks that only understand the
-// string form see the fields appended as " key=value".
+// can match on fields instead of substrings; stderr shows them appended as
+// " key=value".
 //
 // Thread safety: the parallel DST runner (`run_corpus --jobs=N`) logs from
 // worker threads, so the level is an atomic and the sink is an immutable
 // shared_ptr swapped under a mutex — a logging thread copies the pointer
 // under the lock and invokes the sink outside it, so a concurrent
-// set_sink/LogCapture install never races with an in-flight log call.
+// LogCapture install never races with an in-flight log call.
 // LogCapture itself locks its line buffer, making it safe to install around
 // a pooled corpus run.
 #pragma once
@@ -58,22 +58,16 @@ struct LogField {
 };
 using LogFields = std::vector<LogField>;
 
-/// A fully-rendered log event as seen by record sinks.
+/// A fully-rendered log event as the sink sees it.
 struct LogRecord {
   LogLevel level = LogLevel::kInfo;
   std::string_view component;
   std::string_view message;
   const LogFields* fields = nullptr;  ///< nullptr when the call had none
 
-  /// "message key=value key=value" — what legacy sinks receive.
+  /// "message key=value key=value".
   std::string flat() const;
 };
-
-/// Legacy sink: (level, component, flattened message).
-using LogSink =
-    std::function<void(LogLevel, std::string_view, std::string_view)>;
-/// Structured sink: sees the fields before flattening.
-using RecordSink = std::function<void(const LogRecord&)>;
 
 class Logger {
  public:
@@ -84,12 +78,6 @@ class Logger {
   }
   LogLevel level() const { return level_.load(std::memory_order_relaxed); }
 
-  /// Replace the sink (default writes to stderr). Returns the previous
-  /// legacy sink, empty if the previous sink was record-only.
-  LogSink set_sink(LogSink sink);
-  /// Replace the sink with a structured one.
-  void set_record_sink(RecordSink sink);
-
   void log(LogLevel level, std::string_view component, std::string_view msg);
   void log(LogLevel level, std::string_view component, std::string_view msg,
            const LogFields& fields);
@@ -98,21 +86,17 @@ class Logger {
  private:
   friend class LogCapture;
 
-  // One installed sink: exactly one of the two callables is set. Immutable
-  // after construction; swapped wholesale so readers need no lock to use it.
-  struct SinkEntry {
-    RecordSink record;
-    LogSink legacy;
-  };
+  // The installed sink. Immutable once installed; swapped wholesale so
+  // readers need no lock to use it.
+  using Sink = std::function<void(const LogRecord&)>;
 
   Logger();
-  std::shared_ptr<const SinkEntry> entry() const;
-  std::shared_ptr<const SinkEntry> swap_entry(
-      std::shared_ptr<const SinkEntry> next);
+  std::shared_ptr<const Sink> sink() const;
+  std::shared_ptr<const Sink> swap_sink(std::shared_ptr<const Sink> next);
 
   std::atomic<LogLevel> level_{LogLevel::kWarn};
   mutable std::mutex mu_;
-  std::shared_ptr<const SinkEntry> sink_;
+  std::shared_ptr<const Sink> sink_;
 };
 
 /// Scoped capture of log lines, for tests. Thread-safe: may be installed
@@ -140,7 +124,7 @@ class LogCapture {
 
   mutable std::mutex mu_;
   std::vector<Entry> entries_;
-  std::shared_ptr<const Logger::SinkEntry> previous_;
+  std::shared_ptr<const Logger::Sink> previous_;
   LogLevel previous_level_;
 };
 

@@ -110,34 +110,6 @@ std::vector<std::pair<double, double>> Cdf::curve(std::size_t points) const {
   return out;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_{lo}, hi_{hi}, counts_(bins, 0) {
-  assert(hi > lo && bins > 0);
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  const double w = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto bin = static_cast<std::size_t>((x - lo_) / w);
-  bin = std::min(bin, counts_.size() - 1);
-  ++counts_[bin];
-}
-
-double Histogram::bin_lo(std::size_t bin) const {
-  const double w = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + w * static_cast<double>(bin);
-}
-
-double Histogram::bin_hi(std::size_t bin) const { return bin_lo(bin + 1); }
-
 double trapezoid_integral(const std::vector<double>& t,
                           const std::vector<double>& y) {
   assert(t.size() == y.size());

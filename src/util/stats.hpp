@@ -1,4 +1,4 @@
-// Streaming statistics, empirical CDFs and histograms.
+// Streaming statistics and empirical CDFs.
 //
 // These are the analysis primitives behind every figure in the paper:
 // Figures 2, 4 and 5 are CDFs of sampled series; Figures 3 and 6 are
@@ -90,29 +90,6 @@ class Cdf {
   void ensure_sorted() const;
   mutable std::vector<double> samples_;
   mutable bool sorted_ = true;
-};
-
-/// Fixed-width histogram over [lo, hi).
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t bin_count(std::size_t bin) const { return counts_.at(bin); }
-  std::size_t bins() const { return counts_.size(); }
-  std::size_t total() const { return total_; }
-  double bin_lo(std::size_t bin) const;
-  double bin_hi(std::size_t bin) const;
-  std::size_t underflow() const { return underflow_; }
-  std::size_t overflow() const { return overflow_; }
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
 };
 
 /// Trapezoidal integral of y(t) over irregularly spaced points; used to turn

@@ -177,8 +177,7 @@ TEST(Rollup, ScanMetricsAreMirrored) {
   CaptureStore store;
   (void)store.append("job", "m", make_capture(12, 1000), TimePoint::epoch());
   blab::obs::MetricsRegistry registry;
-  RollupEngine engine{store};
-  engine.attach_metrics(&registry);
+  RollupEngine engine{store, &registry};
   (void)engine.compute(RollupScope::kFleet);
   (void)engine.compute(RollupScope::kJob);
   const auto snap = registry.snapshot();

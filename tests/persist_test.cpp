@@ -415,6 +415,39 @@ TEST(PersistEngine, WalOnlyRecoveryRestoresEverything) {
   fs::remove_all(dir, ec);
 }
 
+TEST(PersistEngine, DuplicateIdAppendIsRejectedAndFirstCaptureSurvives) {
+  // Live appends and WAL replay must agree on a reused id: the first
+  // capture stays, before and after a restart.
+  const std::string dir = scratch_dir("dupid");
+  const ChunkedCapture first = ChunkedCapture::encode(make_capture(71, 300));
+  const ChunkedCapture second = ChunkedCapture::encode(make_capture(72, 500));
+  const CaptureId id{"vp-a", 7};
+  {
+    persist::PersistEngine engine{dir};
+    ASSERT_TRUE(engine.open().ok());
+    ASSERT_TRUE(
+        engine.append(id, "first", TimePoint::from_micros(100), first).ok());
+    const auto again =
+        engine.append(id, "second", TimePoint::from_micros(200), second);
+    ASSERT_FALSE(again.ok());
+    EXPECT_EQ(again.error().code, blab::util::ErrorCode::kAlreadyExists);
+    EXPECT_EQ(engine.stats().wal_appends, 1u);  // nothing journaled
+    EXPECT_EQ(engine.info(id)->name, "first");
+    auto loaded = engine.load(id);
+    ASSERT_TRUE(loaded.ok()) << loaded.error().str();
+    EXPECT_EQ(loaded.value().serialize(), first.serialize());
+  }
+  persist::PersistEngine engine{dir};
+  ASSERT_TRUE(engine.open().ok());
+  EXPECT_EQ(engine.size(), 1u);
+  EXPECT_EQ(engine.info(id)->name, "first");
+  auto loaded = engine.load(id);
+  ASSERT_TRUE(loaded.ok()) << loaded.error().str();
+  EXPECT_EQ(loaded.value().serialize(), first.serialize());
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
 TEST(PersistEngine, CheckpointInstallsManifestAndSurvivesRestart) {
   const std::string dir = scratch_dir("ckpt");
   const ChunkedCapture cc = ChunkedCapture::encode(make_capture(32, 400));
@@ -455,10 +488,9 @@ TEST(PersistEngine, CheckpointInstallsManifestAndSurvivesRestart) {
 TEST(PersistEngine, CheckpointCausesAreCountedAndLabeled) {
   const std::string dir = scratch_dir("cause");
   const ChunkedCapture cc = ChunkedCapture::encode(make_capture(60, 200));
-  persist::PersistEngine engine{dir};
-  ASSERT_TRUE(engine.open().ok());
   blab::obs::MetricsRegistry registry;
-  engine.attach_metrics(&registry);
+  persist::PersistEngine engine{dir, &registry};
+  ASSERT_TRUE(engine.open().ok());
 
   ASSERT_TRUE(engine.append({"vp-a", 1}, "DEV", TimePoint::from_micros(1), cc)
                   .ok());
@@ -765,7 +797,7 @@ TEST(PersistentStore, ColdQueriesAnswerIdenticallyAfterRestart) {
   EXPECT_EQ(std::to_string(mean.value()) + "|" +
                 std::to_string(energy.value()),
             warm_answers);
-  EXPECT_EQ(store.stats().disk_loads, 1u);  // one cold load served them all
+  EXPECT_EQ(engine.stats().disk_loads, 1u);  // one cold load served them all
   // Warmed now: the record is resident again.
   auto src2 = store.source_of(id);
   ASSERT_TRUE(src2.ok());

@@ -436,21 +436,6 @@ TEST(CdfTest, QuantileOfEmptyThrows) {
   EXPECT_THROW((void)cdf.quantile(0.5), std::logic_error);
 }
 
-TEST(HistogramTest, BinningAndOverflow) {
-  Histogram h{0.0, 10.0, 10};
-  h.add(0.5);
-  h.add(9.99);
-  h.add(-1.0);
-  h.add(10.0);
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(9), 1u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(3), 3.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(3), 4.0);
-}
-
 TEST(TrapezoidTest, IntegratesLinearFunction) {
   std::vector<double> t{0.0, 1.0, 2.0, 3.0};
   std::vector<double> y{0.0, 1.0, 2.0, 3.0};
