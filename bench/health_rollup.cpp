@@ -16,14 +16,16 @@
 //
 // Emits one JSON object on stdout so ci_bench.sh can fold the numbers into
 // BENCH_core.json; exits non-zero if the fold disagrees with an independent
-// sum over the same footers (a perf number from a wrong rollup would be
-// meaningless).
+// sum over the same footers, or if any scope's p95/p99 differ from a sorted
+// util::Cdf over the same pooled tier means (a perf number from a wrong
+// rollup would be meaningless).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -34,6 +36,7 @@
 #include "store/capture_store.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 #include "util/strings.hpp"
 
 using namespace blab;
@@ -66,6 +69,51 @@ hw::Capture make_capture(std::uint64_t seed, std::size_t n) {
   return hw::Capture{util::TimePoint::epoch(), 5000.0, 3.85, samples};
 }
 
+constexpr std::size_t kWorkspaces = 24;
+constexpr std::size_t kVantages = 6;
+
+/// job-N -> vp-(N % kVantages), alternating device class.
+health::CaptureContext context_of(const std::string& workspace) {
+  const std::size_t n = std::strtoul(workspace.c_str() + 4, nullptr, 10);
+  health::CaptureContext ctx;
+  ctx.vantage = "vp-" + std::to_string(n % kVantages);
+  ctx.device_class = (n % 2 == 0) ? "android-phone" : "ios-phone";
+  ctx.owner = "bench";
+  return ctx;
+}
+
+/// True when every group's p95/p99 equal, bit for bit, the quantiles of a
+/// sorted util::Cdf over the tier means the engine pools for that group.
+bool quantiles_match_sorted_cdf(store::CaptureStore& store,
+                                health::RollupEngine& engine,
+                                health::RollupScope scope) {
+  std::map<std::string, std::vector<double>> pools;
+  for (const auto& id :
+       store.catalog(util::TimePoint::epoch(), util::TimePoint::max())) {
+    std::string key = "fleet";
+    if (scope == health::RollupScope::kJob) key = id.workspace;
+    if (scope == health::RollupScope::kVantage) {
+      key = context_of(id.workspace).vantage;
+    }
+    if (auto cdf = store.percentiles(id); cdf.ok()) {
+      const std::vector<double>& tier = cdf.value().samples();
+      pools[key].insert(pools[key].end(), tier.begin(), tier.end());
+    }
+  }
+  const health::Rollup rollup = engine.compute(scope);
+  if (rollup.groups.size() != pools.size()) return false;
+  for (const health::RollupGroup& g : rollup.groups) {
+    const auto it = pools.find(g.key);
+    if (it == pools.end() || it->second.empty()) return false;
+    const util::Cdf sorted{it->second};
+    if (g.p95_ma != sorted.quantile(0.95) ||
+        g.p99_ma != sorted.quantile(0.99)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -96,8 +144,6 @@ int main(int argc, char** argv) {
   // Untimed setup: a catalog shaped like a real deployment's — a few dozen
   // job workspaces spread across a handful of vantage points, captures
   // stored at distinct times so the window filter has real work to do.
-  constexpr std::size_t kWorkspaces = 24;
-  constexpr std::size_t kVantages = 6;
   store::CaptureStore store;
   for (std::size_t i = 0; i < n_captures; ++i) {
     const std::string workspace = "job-" + std::to_string(i % kWorkspaces);
@@ -115,24 +161,27 @@ int main(int argc, char** argv) {
   }
 
   health::RollupEngine engine{store};
-  engine.set_context_resolver([](const std::string& workspace) {
-    // job-N -> vp-(N % kVantages), alternating device class.
-    const std::size_t n = std::strtoul(workspace.c_str() + 4, nullptr, 10);
-    health::CaptureContext ctx;
-    ctx.vantage = "vp-" + std::to_string(n % kVantages);
-    ctx.device_class = (n % 2 == 0) ? "android-phone" : "ios-phone";
-    ctx.owner = "bench";
-    return ctx;
-  });
+  engine.set_context_resolver(context_of);
 
-  // Correctness gate before timing: the fleet fold must equal the plain
-  // ascending-id sum over the same footers (the DST oracle's contract).
+  // Correctness gates before timing: the fleet fold must equal the plain
+  // ascending-id sum over the same footers (the DST oracle's contract), and
+  // every scope's selected p95/p99 must equal a full sort's.
   {
     const auto fleet = engine.compute(health::RollupScope::kFleet);
     if (fleet.captures_scanned != n_captures || fleet.groups.size() != 1 ||
         fleet.groups.front().energy_mwh != expect_energy) {
       std::cerr << "FAIL: fleet rollup disagrees with the independent fold\n";
       return 1;
+    }
+    for (const auto scope :
+         {health::RollupScope::kFleet, health::RollupScope::kJob,
+          health::RollupScope::kVantage}) {
+      if (!quantiles_match_sorted_cdf(store, engine, scope)) {
+        std::cerr << "FAIL: " << health::rollup_scope_name(scope)
+                  << " rollup p95/p99 differ from a sorted Cdf over the "
+                     "pooled tier means\n";
+        return 1;
+      }
     }
   }
 

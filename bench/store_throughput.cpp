@@ -4,7 +4,9 @@
 //
 // Emits one JSON object on stdout so CI can diff the numbers; exits non-zero
 // if the acceptance floors (>= 4x compression, zero raw decodes for summary
-// queries) are missed.
+// queries) are missed. Encode/decode rates are the median of kCodecRounds
+// rounds with their interquartile range beside them: a best-of-few on a
+// shared machine swings by 2x between runs of one binary.
 #include <algorithm>
 #include <chrono>
 #include <iostream>
@@ -19,6 +21,7 @@
 #include "store/capture_store.hpp"
 #include "store/chunked_capture.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 #include "util/strings.hpp"
 
 using namespace blab;
@@ -27,6 +30,7 @@ namespace {
 
 constexpr std::size_t kSamples = 300000;  // 60 s at the Monsoon's 5 kHz
 constexpr int kRounds = 5;
+constexpr int kCodecRounds = 41;
 
 hw::Capture synth_capture() {
   util::Rng rng{20191113};
@@ -104,22 +108,25 @@ double synth_samples_per_s() {
 int main() {
   const hw::Capture capture = synth_capture();
 
-  // -- encode / decode throughput (best of kRounds) ----------------------
-  double encode_s = 1e9;
-  double decode_s = 1e9;
+  // -- encode / decode throughput (median of kCodecRounds) ---------------
+  util::Cdf encode_rates;  // Msamples/s, one per round
+  util::Cdf decode_rates;
   store::ChunkedCapture cc;
-  for (int r = 0; r < kRounds; ++r) {
+  for (int r = 0; r < kCodecRounds; ++r) {
     auto t0 = std::chrono::steady_clock::now();
     cc = store::ChunkedCapture::encode(capture);
-    encode_s = std::min(encode_s, seconds_since(t0));
+    encode_rates.add(kSamples / seconds_since(t0) / 1e6);
     t0 = std::chrono::steady_clock::now();
     auto decoded = cc.decode();
-    decode_s = std::min(decode_s, seconds_since(t0));
+    decode_rates.add(kSamples / seconds_since(t0) / 1e6);
     if (!decoded.ok() ||
         decoded.value().samples_ma() != capture.samples_ma()) {
       throw std::runtime_error{"round-trip is not lossless"};
     }
   }
+  const auto iqr = [](const util::Cdf& rates) {
+    return rates.quantile(0.75) - rates.quantile(0.25);
+  };
 
   // -- compression vs the CSV exporter -----------------------------------
   std::ostringstream csv;
@@ -159,8 +166,11 @@ int main() {
 
   std::cout << "{\n";
   emit(std::cout, "samples", static_cast<double>(kSamples));
-  emit(std::cout, "encode_msamples_per_s", kSamples / encode_s / 1e6);
-  emit(std::cout, "decode_msamples_per_s", kSamples / decode_s / 1e6);
+  emit(std::cout, "codec_rounds", kCodecRounds);
+  emit(std::cout, "encode_msamples_per_s", encode_rates.median());
+  emit(std::cout, "encode_msamples_per_s_iqr", iqr(encode_rates));
+  emit(std::cout, "decode_msamples_per_s", decode_rates.median());
+  emit(std::cout, "decode_msamples_per_s_iqr", iqr(decode_rates));
   emit(std::cout, "chunked_bytes", chunked_bytes);
   emit(std::cout, "csv_bytes", csv_bytes);
   emit(std::cout, "compression_ratio_vs_csv", ratio);

@@ -36,6 +36,12 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
 # the BENCH_health.json artifact next to BENCH_core.json for CI to upload.
 "$BUILD_DIR"/bench/health_rollup \
   --out="$BUILD_DIR/BENCH_health.json" > "$BUILD_DIR/bench_health.json"
+# The same read path on real-shaped captures (10 s at 5 kHz, a catalog the
+# size of the labbench operator_reads one), where pooling tier means for
+# p95/p99 dominates. Archived as BENCH_health_reads.json, not gated: no
+# pinned baseline exists for this shape.
+"$BUILD_DIR"/bench/health_rollup --captures=112 --samples=50000 \
+  --out="$BUILD_DIR/BENCH_health_reads.json" > /dev/null
 
 # Determinism-window kernel sweep: the same scenario corpus at three sizes,
 # serial and 4-way parallel. Parallel speedup here is only trustworthy

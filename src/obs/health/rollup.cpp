@@ -12,10 +12,10 @@ namespace blab::health {
 namespace {
 
 /// Mutable accumulator behind one RollupGroup; quantiles pool per-capture
-/// tier samples and are reduced at the end.
+/// tier samples and are selected from the pool at the end.
 struct GroupAcc {
   RollupGroup group;
-  util::Cdf pooled;
+  std::vector<double> pooled;
   bool has_range = false;
 };
 
@@ -100,7 +100,8 @@ Rollup RollupEngine::compute(RollupScope scope, util::TimePoint t0,
     // Tail quantiles pool each capture's finest surviving tier; a capture
     // reduced past its tiers simply contributes nothing to the pool.
     if (auto cdf = store_.percentiles(id); cdf.ok()) {
-      acc.pooled.add_all(cdf.value().samples());
+      const std::vector<double>& tier = cdf.value().samples();
+      acc.pooled.insert(acc.pooled.end(), tier.begin(), tier.end());
     }
     ++out.captures_scanned;
   }
@@ -111,8 +112,9 @@ Rollup RollupEngine::compute(RollupScope scope, util::TimePoint t0,
     g.key = key;
     if (g.samples > 0) g.mean_ma /= static_cast<double>(g.samples);
     if (!acc.pooled.empty()) {
-      g.p95_ma = acc.pooled.quantile(0.95);
-      g.p99_ma = acc.pooled.quantile(0.99);
+      const auto q = util::select_quantiles(acc.pooled, {0.95, 0.99});
+      g.p95_ma = q[0];
+      g.p99_ma = q[1];
     }
     out.groups.push_back(std::move(g));
   }

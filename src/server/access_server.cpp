@@ -60,21 +60,25 @@ util::Status AccessServer::enable_persistence(const std::string& dir) {
 health::CaptureContext AccessServer::resolve_capture_context(
     const std::string& workspace) {
   health::CaptureContext ctx;
-  for (const Job* job : scheduler_.all_jobs()) {
-    if (job->id.str() != workspace) continue;
-    ctx.vantage = job->assigned_node;
-    ctx.owner = job->owner;
-    if (!job->assigned_device.empty()) {
-      api::VantagePoint* vp = registry_.vantage_point(job->assigned_node);
-      auto* dev =
-          vp == nullptr ? nullptr : vp->find_device(job->assigned_device);
-      if (dev != nullptr) {
-        ctx.device_class =
-            std::string{device::platform_name(dev->spec().platform)} + "-" +
-            device::device_class_name(dev->spec().device_class);
-      }
+  // A job's workspace is its id in canonical decimal (JobId::str()); any
+  // other spelling, such as a leading zero, names no job.
+  const auto value = util::parse_u64(workspace);
+  if (!value.has_value() || (workspace.size() > 1 && workspace[0] == '0')) {
+    return ctx;
+  }
+  const Job* job = scheduler_.find(JobId{*value});
+  if (job == nullptr) return ctx;
+  ctx.vantage = job->assigned_node;
+  ctx.owner = job->owner;
+  if (!job->assigned_device.empty()) {
+    api::VantagePoint* vp = registry_.vantage_point(job->assigned_node);
+    auto* dev =
+        vp == nullptr ? nullptr : vp->find_device(job->assigned_device);
+    if (dev != nullptr) {
+      ctx.device_class =
+          std::string{device::platform_name(dev->spec().platform)} + "-" +
+          device::device_class_name(dev->spec().device_class);
     }
-    break;
   }
   return ctx;
 }

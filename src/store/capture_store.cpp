@@ -364,21 +364,22 @@ util::Result<util::Cdf> CaptureStore::percentiles(const CaptureId& id) {
   const ChunkedCapture& cc = record->capture;
   ++stats_.tier_queries;
   bump(metrics_.tier_queries);
-  util::Cdf cdf;
   const Tier* tier = cc.finest_tier();
   if (tier != nullptr) {
-    for (float v : tier->mean_ma) cdf.add(static_cast<double>(v));
-    return cdf;
+    return util::Cdf{
+        std::vector<double>(tier->mean_ma.begin(), tier->mean_ma.end())};
   }
-  // Short captures may have no tier (fewer samples than the finest factor);
+  // A capture sampled at or below the coarsest tier rate has no tier;
   // footers still give one point per chunk.
+  std::vector<double> means;
+  means.reserve(cc.chunk_count());
   for (std::size_t chunk = 0; chunk < cc.chunk_count(); ++chunk) {
     const ChunkFooter& footer = cc.footer(chunk);
     if (footer.count > 0) {
-      cdf.add(footer.sum_ma / static_cast<double>(footer.count));
+      means.push_back(footer.sum_ma / static_cast<double>(footer.count));
     }
   }
-  return cdf;
+  return util::Cdf{std::move(means)};
 }
 
 util::Result<double> CaptureStore::energy_mwh(const CaptureId& id) {

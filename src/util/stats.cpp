@@ -7,6 +7,35 @@
 
 namespace blab::util {
 
+namespace {
+
+/// Where quantile q of n sorted samples falls: between the order statistics
+/// x[lo] and x[hi] (hi = min(lo + 1, n - 1)), `frac` of the way to x[hi].
+/// Cdf::quantile and select_quantiles both read quantiles through this, so
+/// they interpolate identically.
+struct QuantileRank {
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  double frac = 0.0;
+
+  /// Rank of q (clamped to [0, 1]) among n >= 1 samples: pos = q * (n - 1).
+  static QuantileRank of(double q, std::size_t n) {
+    q = std::clamp(q, 0.0, 1.0);
+    const double pos = q * static_cast<double>(n - 1);
+    QuantileRank r;
+    r.lo = static_cast<std::size_t>(pos);
+    r.hi = std::min(r.lo + 1, n - 1);
+    r.frac = pos - static_cast<double>(r.lo);
+    return r;
+  }
+
+  double interpolate(double x_lo, double x_hi) const {
+    return x_lo * (1.0 - frac) + x_hi * frac;
+  }
+};
+
+}  // namespace
+
 void RunningStats::add(double x) {
   if (n_ == 0) {
     min_ = max_ = x;
@@ -44,6 +73,34 @@ double RunningStats::variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
+std::vector<double> select_quantiles(std::vector<double>& xs,
+                                     std::initializer_list<double> qs) {
+  if (xs.empty()) throw std::logic_error{"quantile of empty sample"};
+  std::vector<double> out;
+  out.reserve(qs.size());
+  // Invariant: xs[0, settled) holds the `settled` smallest values and
+  // xs[settled - 1] sits at its sorted position, so a later, higher rank
+  // is selected from the suffix alone.
+  std::size_t settled = 0;
+  for (const double q : qs) {
+    const QuantileRank r = QuantileRank::of(q, xs.size());
+    if (r.lo + 1 < settled) {
+      throw std::logic_error{"select_quantiles needs non-decreasing q"};
+    }
+    const auto lo = xs.begin() + static_cast<std::ptrdiff_t>(r.lo);
+    if (r.lo + 1 > settled) {
+      std::nth_element(xs.begin() + static_cast<std::ptrdiff_t>(settled), lo,
+                       xs.end());
+      settled = r.lo + 1;
+    }
+    // x[lo + 1] of the sorted sample is the least value past lo.
+    const double x_hi =
+        r.hi == r.lo ? *lo : *std::min_element(lo + 1, xs.end());
+    out.push_back(r.interpolate(*lo, x_hi));
+  }
+  return out;
+}
+
 Cdf::Cdf(std::vector<double> samples) : samples_{std::move(samples)}, sorted_{false} {}
 
 void Cdf::add(double x) {
@@ -66,12 +123,8 @@ void Cdf::ensure_sorted() const {
 double Cdf::quantile(double q) const {
   if (samples_.empty()) throw std::logic_error{"quantile of empty Cdf"};
   ensure_sorted();
-  q = std::clamp(q, 0.0, 1.0);
-  const double pos = q * static_cast<double>(samples_.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const auto hi = std::min(lo + 1, samples_.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
+  const QuantileRank r = QuantileRank::of(q, samples_.size());
+  return r.interpolate(samples_[r.lo], samples_[r.hi]);
 }
 
 double Cdf::mean() const {

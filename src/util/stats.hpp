@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -55,6 +56,15 @@ class RunningStats {
   double min_ = 0.0;
   double max_ = 0.0;
 };
+
+/// Quantiles of `xs` at each of `qs` (non-decreasing), found by selection
+/// (std::nth_element) instead of a full sort. Each result equals
+/// Cdf{xs}.quantile(q) bit for bit: selection lands the same order
+/// statistics x[lo] and x[hi] a sort does. Reorders `xs`. Throws
+/// std::logic_error when `xs` is empty, or when a q falls to a rank below
+/// one an earlier q already passed.
+std::vector<double> select_quantiles(std::vector<double>& xs,
+                                     std::initializer_list<double> qs);
 
 /// Empirical distribution over a collected sample set.
 class Cdf {

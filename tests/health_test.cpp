@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "sim/simulator.hpp"
 #include "store/capture_store.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace {
 
@@ -183,6 +185,91 @@ TEST(Rollup, ScanMetricsAreMirrored) {
   const auto snap = registry.snapshot();
   EXPECT_EQ(snap.value_or("blab_rollup_scans_total"), 2.0);
   EXPECT_EQ(snap.value_or("blab_rollup_captures_scanned_total"), 2.0);
+}
+
+// A 200 Hz capture, so its finest (50 Hz) tier averages windows of 4
+// samples into `buckets` means. Three buckets in four hold one of nine flat
+// levels, whose means are exact: the pool is heavy with duplicates.
+Capture pooled_capture(std::uint64_t seed, std::size_t buckets) {
+  blab::util::Rng rng{seed};
+  std::vector<float> samples;
+  samples.reserve(4 * buckets);
+  double walk = 300.0;
+  for (std::size_t b = 0; b < buckets; ++b) {
+    const bool flat = rng.chance(0.75);
+    const double level = 50.0 * static_cast<double>(rng.uniform_int(1, 9));
+    for (int i = 0; i < 4; ++i) {
+      walk = std::clamp(walk + rng.uniform(-8.0, 8.0), 5.0, 4500.0);
+      samples.push_back(static_cast<float>(flat ? level : walk));
+    }
+  }
+  return Capture{TimePoint::epoch(), 200.0, 3.85, samples};
+}
+
+// p95/p99 are selected from the pooled tier means rather than read from a
+// sort of them; both must give the same bits. Only a -0.0/+0.0 tie could
+// differ (selection and sort may keep different zeros), and tier means of
+// clamped currents never hold signed zeros, so none are planted here.
+TEST(Rollup, PooledQuantilesMatchSortedCdfBitForBit) {
+  const auto vantage_of = [](const std::string& workspace) {
+    CaptureContext ctx;
+    if (workspace == "job-0" || workspace == "job-2") ctx.vantage = "vp-a";
+    if (workspace == "job-1") ctx.vantage = "vp-b";
+    return ctx;  // job-3 stays unassigned
+  };
+  for (const std::size_t n : {1, 2, 3, 20, 101, 50'000}) {
+    SCOPED_TRACE(n);
+    CaptureStore store;
+    // Sampled at 1 Hz, at or below every tier rate, this capture has no
+    // tier: percentiles() falls back to its one chunk-footer mean (250).
+    (void)store.append("job-0", "no-tier",
+                       Capture{TimePoint::epoch(), 1.0, 3.85,
+                               std::vector<float>(10, 250.0f)},
+                       TimePoint::epoch());
+    std::size_t left = n - 1;
+    for (std::size_t i = 1; left > 0; ++i) {
+      const std::size_t buckets = std::min(left, 1 + (i * 7) % 2500);
+      (void)store.append("job-" + std::to_string(i % 4),
+                         "m" + std::to_string(i),
+                         pooled_capture(100 + i, buckets),
+                         TimePoint::epoch() + Duration::seconds(1.0 * i));
+      left -= buckets;
+    }
+
+    RollupEngine engine{store};
+    engine.set_context_resolver(vantage_of);
+    for (const auto scope :
+         {RollupScope::kFleet, RollupScope::kJob, RollupScope::kVantage}) {
+      SCOPED_TRACE(blab::health::rollup_scope_name(scope));
+      std::map<std::string, std::vector<double>> pools;
+      for (const auto& id :
+           store.catalog(TimePoint::epoch(), TimePoint::max())) {
+        std::string key = "fleet";
+        if (scope == RollupScope::kJob) key = id.workspace;
+        if (scope == RollupScope::kVantage) {
+          key = vantage_of(id.workspace).vantage;
+          if (key.empty()) key = "unassigned";
+        }
+        const auto cdf = store.percentiles(id);
+        ASSERT_TRUE(cdf.ok());
+        const std::vector<double>& tier = cdf.value().samples();
+        pools[key].insert(pools[key].end(), tier.begin(), tier.end());
+      }
+      if (scope == RollupScope::kFleet) {
+        ASSERT_EQ(pools["fleet"].size(), n);
+      }
+
+      const Rollup rollup = engine.compute(scope);
+      ASSERT_EQ(rollup.groups.size(), pools.size());
+      for (const auto& g : rollup.groups) {
+        SCOPED_TRACE(g.key);
+        ASSERT_EQ(pools.count(g.key), 1u);
+        const blab::util::Cdf sorted{pools.at(g.key)};
+        EXPECT_EQ(g.p95_ma, sorted.quantile(0.95));
+        EXPECT_EQ(g.p99_ma, sorted.quantile(0.99));
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------------------

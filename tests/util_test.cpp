@@ -436,6 +436,41 @@ TEST(CdfTest, QuantileOfEmptyThrows) {
   EXPECT_THROW((void)cdf.quantile(0.5), std::logic_error);
 }
 
+// Selection must read the same bits a sort does. Only a tie between -0.0
+// and +0.0 could differ (the two orders may keep different ones), so the
+// samples here are non-negative like the currents the rollup pools.
+TEST(SelectQuantilesTest, MatchesSortedCdfBitForBit) {
+  Rng rng{31};
+  for (const std::size_t n : {1, 2, 3, 20, 101, 5000, 50'000}) {
+    SCOPED_TRACE(n);
+    std::vector<double> xs;
+    for (std::size_t i = 0; i < n; ++i) {
+      // Half the draws repeat one of six levels: heavy duplicates.
+      xs.push_back(rng.chance(0.5)
+                       ? 25.0 * static_cast<double>(rng.uniform_int(1, 6))
+                       : rng.uniform(0.0, 200.0));
+    }
+    const Cdf sorted{xs};
+    std::vector<double> pool = xs;
+    const auto all = select_quantiles(pool, {0.0, 0.5, 0.95, 0.99, 1.0});
+    ASSERT_EQ(all.size(), 5u);
+    std::size_t i = 0;
+    for (const double q : {0.0, 0.5, 0.95, 0.99, 1.0}) {
+      EXPECT_EQ(all[i++], sorted.quantile(q)) << "q=" << q;
+      std::vector<double> fresh = xs;
+      EXPECT_EQ(select_quantiles(fresh, {q}).front(), sorted.quantile(q))
+          << "q=" << q;
+    }
+  }
+}
+
+TEST(SelectQuantilesTest, RejectsEmptySampleAndFallingQ) {
+  std::vector<double> empty;
+  EXPECT_THROW((void)select_quantiles(empty, {0.5}), std::logic_error);
+  std::vector<double> xs{5.0, 1.0, 4.0, 2.0, 3.0};
+  EXPECT_THROW((void)select_quantiles(xs, {0.9, 0.1}), std::logic_error);
+}
+
 TEST(TrapezoidTest, IntegratesLinearFunction) {
   std::vector<double> t{0.0, 1.0, 2.0, 3.0};
   std::vector<double> y{0.0, 1.0, 2.0, 3.0};
